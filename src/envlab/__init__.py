@@ -9,6 +9,7 @@ from .tensor_core import (
     SpaceLayout,
     SubsystemUnitary,
     apply_unitary,
+    attach_ready,
     basis_state,
     controlled_shift,
     load_state,
@@ -16,6 +17,7 @@ from .tensor_core import (
     relative_states,
     save_state,
     schmidt_decompose,
+    schmidt_state,
     single_state,
     states_equal_up_to_global_phase,
     tensor_product,
@@ -52,6 +54,7 @@ from .envariance import (
     phase_sensitivity_witness,
     rational_bounds,
     schmidt_phase_unitary,
+    schmidt_swap_unitary,
     subset_probability,
 )
 

@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -18,20 +19,20 @@ import numpy as np
 
 from . import errors
 from .envariance import (
+    DEFAULT_M_CAP,
     born_probabilities,
-    envariant_swap,
     find_commensurate_denominator,
     is_envariant,
     rational_bounds,
     schmidt_phase_unitary,
     schmidt_probabilities,
+    schmidt_swap_unitary,
 )
 from .info_measures import (
     FragmentSpec,
     basis_conditioned_mutual_information,
     mutual_information,
     redundancy_report,
-    von_neumann_entropy,
 )
 from .measurement_models import (
     BranchSpec,
@@ -39,11 +40,12 @@ from .measurement_models import (
     cascade_environment,
 )
 from .tensor_core import (
-    PureState,
-    SpaceLayout,
+    KERNEL_TOL,
     SubsystemUnitary,
+    attach_ready,
     partial_trace,
     schmidt_decompose,
+    schmidt_state,
 )
 
 SCENARIOS = ("einselect", "redundancy", "born", "envariance", "cascade")
@@ -67,7 +69,7 @@ class ScenarioConfig:
     amplitudes: list[float]
     env_count: int = 8
     overlap: float = 0.0
-    m_cap: int = 10 ** 4
+    m_cap: int = DEFAULT_M_CAP
     tolerance: float = 1e-10
     bounds_m: list[int] = field(default_factory=list)
     out: str | None = None
@@ -79,7 +81,9 @@ class ScenarioConfig:
             bad["kind"] = f"unknown scenario {self.kind!r}"
         if len(self.amplitudes) < 1:
             bad["amplitudes"] = "at least one amplitude required"
-        elif np.linalg.norm(self.amplitudes) < 1e-12:
+        elif not np.all(np.isfinite(self.amplitudes)):
+            bad["amplitudes"] = "amplitudes must be finite"
+        elif np.linalg.norm(self.amplitudes) < KERNEL_TOL:
             bad["amplitudes"] = "amplitude vector is zero"
         if self.env_count < 0:
             bad["env_count"] = "environment count must be >= 0"
@@ -87,7 +91,9 @@ class ScenarioConfig:
             bad["overlap"] = f"overlap {self.overlap} outside [0, 1]"
         if self.m_cap < 1:
             bad["m_cap"] = "denominator cap must be >= 1"
-        if self.tolerance <= 0:
+        if not np.isfinite(self.tolerance):
+            bad["tolerance"] = "tolerance must be finite"
+        elif self.tolerance <= 0:
             bad["tolerance"] = "tolerance must be positive"
         if any(m < 1 for m in self.bounds_m):
             bad["bounds_m"] = "bounding denominators must be >= 1"
@@ -161,15 +167,6 @@ def _run_redundancy(cfg: ScenarioConfig) -> tuple[dict, dict]:
     return tables, residuals
 
 
-def _born_state(amps: np.ndarray, env_dim: int) -> PureState:
-    d = amps.size
-    mat = np.zeros((d, env_dim), dtype=complex)
-    for k in range(d):
-        mat[k, k] = amps[k]
-    layout = SpaceLayout([("S", d), ("E", env_dim)])
-    return PureState(layout, mat.ravel())
-
-
 def _run_born(cfg: ScenarioConfig) -> tuple[dict, dict]:
     amps = cfg.unit_amplitudes()
     probs = np.abs(amps) ** 2
@@ -182,7 +179,7 @@ def _run_born(cfg: ScenarioConfig) -> tuple[dict, dict]:
     except errors.UseBoundsInstead:
         m = None
     if m is not None:
-        state = _born_state(amps, m)
+        state = schmidt_state(amps, m)
         counted = born_probabilities(state, ("S",), cfg.tolerance, cfg.m_cap)
         squared = schmidt_probabilities(state, ("S",))
         rows = [[k, counted[k], squared[k], abs(counted[k] - squared[k])]
@@ -195,7 +192,7 @@ def _run_born(cfg: ScenarioConfig) -> tuple[dict, dict]:
         residuals["max_abs_gap"] = float(np.max(np.abs(counted - squared)))
     bounds_m = cfg.bounds_m or ([] if m is not None else [100, 1000, 10000])
     if bounds_m:
-        state = _born_state(amps, amps.size)
+        state = schmidt_state(amps, amps.size)
         rows = []
         for bm in bounds_m:
             bound = rational_bounds(state, ("S",), bm)
@@ -212,19 +209,14 @@ def _run_born(cfg: ScenarioConfig) -> tuple[dict, dict]:
 
 def _run_envariance(cfg: ScenarioConfig) -> tuple[dict, dict]:
     amps = cfg.unit_amplitudes()
-    state = _born_state(amps, amps.size)
+    state = schmidt_state(amps, amps.size)
     sd = schmidt_decompose(state, ("S",))
     rng = np.random.default_rng(20040971)
     rows = []
     phases = np.pi * (1.0 + np.arange(sd.rank)) / sd.rank
     tests = [("schmidt_phase", schmidt_phase_unitary(sd, phases))]
     if sd.rank >= 2:
-        _, counter = envariant_swap(state, 0, 1, sd)
-        swap_sys = SubsystemUnitary(
-            sd.left_labels,
-            _swap_matrix(sd.left_basis, 0, 1),
-        )
-        tests.append(("system_swap_01", swap_sys))
+        tests.append(("system_swap_01", schmidt_swap_unitary(sd, 0, 1)))
     gauss = rng.normal(size=(amps.size, amps.size)) \
         + 1j * rng.normal(size=(amps.size, amps.size))
     tests.append(("random_system_unitary",
@@ -243,14 +235,6 @@ def _run_envariance(cfg: ScenarioConfig) -> tuple[dict, dict]:
     return tables, residuals
 
 
-def _swap_matrix(basis: np.ndarray, k: int, l: int) -> np.ndarray:
-    a, b = basis[:, k], basis[:, l]
-    m = np.eye(basis.shape[0], dtype=complex)
-    m += np.outer(a, b.conj()) + np.outer(b, a.conj())
-    m -= np.outer(a, a.conj()) + np.outer(b, b.conj())
-    return m
-
-
 def _run_cascade(cfg: ScenarioConfig) -> tuple[dict, dict]:
     amps = cfg.unit_amplitudes()
     d = amps.size
@@ -259,10 +243,8 @@ def _run_cascade(cfg: ScenarioConfig) -> tuple[dict, dict]:
     immediate = [f"E{i + 1}" for i in range(n)]
     distant = [f"F{i + 1}" for i in range(n)]
     state = build_branch_state(spec, apparatus=None, environments=immediate)
-    from .tensor_core import basis_state, tensor_product
     for lab in distant:
-        state = tensor_product(
-            state, basis_state(SpaceLayout([(lab, d)]), [0]))
+        state = attach_ready(state, lab, d)
     state = cascade_environment(state, immediate, distant)
     pointer_basis = np.eye(d)
     conjugate_basis = np.array(
@@ -347,7 +329,6 @@ def emit_report(result: RunResult, fmt: str, out: str | None) -> None:
     tmp = f"{out}.tmp"
     with open(tmp, "w") as fh:
         fh.write(text)
-    import os
     os.replace(tmp, out)
 
 
@@ -385,6 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# converters of the config fields that default to ScenarioConfig's values
+_DEFAULTED_FIELDS = {"env_count": int, "overlap": float, "m_cap": int,
+                     "tolerance": float, "out": None, "format": None,
+                     "bounds_m": lambda ms: [int(m) for m in ms]}
+
+
 def config_from_args(args) -> ScenarioConfig:
     doc = {}
     if args.config:
@@ -395,25 +382,27 @@ def config_from_args(args) -> ScenarioConfig:
             raise ValidationFailure({"config": f"cannot read: {exc}"})
         except json.JSONDecodeError as exc:
             raise ValidationFailure({"config": f"invalid JSON: {exc}"})
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        return doc.get(key, default)
-    amplitudes = pick(args.amplitudes, "amplitudes", None)
+    def pick(key):
+        flag = getattr(args, key)
+        return flag if flag is not None else doc.get(key)
+    amplitudes = pick("amplitudes")
     if amplitudes is None:
         raise ValidationFailure(
             {"amplitudes": "required (flag or config field)"})
-    return ScenarioConfig(
-        kind=args.kind,
-        amplitudes=[float(a) for a in amplitudes],
-        env_count=int(pick(args.env_count, "env_count", 8)),
-        overlap=float(pick(args.overlap, "overlap", 0.0)),
-        m_cap=int(pick(args.m_cap, "m_cap", 10 ** 4)),
-        tolerance=float(pick(args.tolerance, "tolerance", 1e-10)),
-        bounds_m=[int(m) for m in pick(args.bounds_m, "bounds_m", [])],
-        out=pick(args.out, "out", None),
-        format=pick(args.format, "format", "csv"),
-    )
+    fields = {}
+    for key, convert in _DEFAULTED_FIELDS.items():
+        value = pick(key)
+        if value is not None:
+            fields[key] = convert(value) if convert else value
+    return ScenarioConfig(kind=args.kind,
+                          amplitudes=[float(a) for a in amplitudes], **fields)
+
+
+def _fail(code: int, doc: dict) -> int:
+    """Write the JSON error document to stderr; return the exit code."""
+    json.dump(doc, sys.stderr, indent=2)
+    sys.stderr.write("\n")
+    return code
 
 
 def main(argv=None) -> int:
@@ -423,27 +412,19 @@ def main(argv=None) -> int:
         cfg = config_from_args(args)
         result = run_scenario(cfg)
     except ValidationFailure as exc:
-        json.dump({"error": "validation", "fields": exc.messages},
-                  sys.stderr, indent=2)
-        sys.stderr.write("\n")
-        return EXIT_VALIDATION
+        return _fail(EXIT_VALIDATION,
+                     {"error": "validation", "fields": exc.messages})
     except errors.SpaceTooLarge as exc:
-        json.dump({"error": "dimension_guard", "detail": str(exc)},
-                  sys.stderr, indent=2)
-        sys.stderr.write("\n")
-        return EXIT_DIM_GUARD
+        return _fail(EXIT_DIM_GUARD,
+                     {"error": "dimension_guard", "detail": str(exc)})
     except errors.EnvLabError as exc:
-        json.dump({"error": "validation",
-                   "fields": {"scenario": f"{type(exc).__name__}: {exc}"}},
-                  sys.stderr, indent=2)
-        sys.stderr.write("\n")
-        return EXIT_VALIDATION
+        return _fail(EXIT_VALIDATION, {
+            "error": "validation",
+            "fields": {"scenario": f"{type(exc).__name__}: {exc}"}})
     try:
         emit_report(result, cfg.format, cfg.out)
     except OSError as exc:
-        json.dump({"error": "io", "detail": str(exc)}, sys.stderr, indent=2)
-        sys.stderr.write("\n")
-        return EXIT_IO
+        return _fail(EXIT_IO, {"error": "io", "detail": str(exc)})
     return 0
 
 

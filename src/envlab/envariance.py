@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AncillaTooSmall,
     BadIndex,
     LayoutMismatch,
     LengthMismatch,
@@ -24,20 +23,21 @@ from .errors import (
 from .info_measures import trace_distance
 from .tensor_core import (
     KERNEL_TOL,
+    STATE_TOL,
     PureState,
     SchmidtDecomposition,
-    SpaceLayout,
     SubsystemUnitary,
+    _leading_index,
     apply_unitary,
-    basis_state,
+    attach_ready,
     controlled_shift,
     global_phase_distance,
+    matricize,
     partial_trace,
     schmidt_decompose,
-    tensor_product,
+    schmidt_state,
 )
 
-ENVARIANCE_TOL = 1e-10
 DEFAULT_M_CAP = 10 ** 4
 
 
@@ -61,31 +61,21 @@ class EnvarianceVerdict:
 @dataclass(frozen=True)
 class FineGrainingPlan:
     """Counts m_k (Schmidt-descending order) with total M = sum m_k, plus
-    the ancilla to attach.  ``system_labels`` fixes the bipartition the
-    counts refer to."""
+    the label of the dimension-M ancilla to attach.  ``system_labels``
+    fixes the bipartition the counts refer to."""
 
     counts: tuple[int, ...]
     system_labels: tuple[str, ...]
     ancilla_label: str
-    ancilla_dimension: int
     tolerance: float = 1e-9
 
-    def __init__(self, counts, system_labels, ancilla_label,
-                 ancilla_dimension=None, tolerance=1e-9):
+    def __init__(self, counts, system_labels, ancilla_label, tolerance=1e-9):
         counts = tuple(int(c) for c in counts)
         if any(c < 1 for c in counts):
             raise PlanMismatch("all fine-graining counts must be >= 1")
-        total = sum(counts)
-        if ancilla_dimension is None:
-            ancilla_dimension = total
-        if ancilla_dimension < total:
-            raise AncillaTooSmall(
-                f"ancilla dimension {ancilla_dimension} < M = {total}"
-            )
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "system_labels", tuple(system_labels))
         object.__setattr__(self, "ancilla_label", str(ancilla_label))
-        object.__setattr__(self, "ancilla_dimension", int(ancilla_dimension))
         object.__setattr__(self, "tolerance", float(tolerance))
 
     @property
@@ -125,6 +115,23 @@ def schmidt_phase_unitary(sd: SchmidtDecomposition,
     return SubsystemUnitary(sd.left_labels, u)
 
 
+def _swap_matrix(basis: np.ndarray, k: int, l: int) -> np.ndarray:
+    """Exchange basis columns k and l; identity on their complement."""
+    a, b = basis[:, k], basis[:, l]
+    m = np.eye(basis.shape[0], dtype=complex)
+    m += np.outer(a, b.conj()) + np.outer(b, a.conj())
+    m -= np.outer(a, a.conj()) + np.outer(b, b.conj())
+    return m
+
+
+def schmidt_swap_unitary(sd: SchmidtDecomposition, k: int,
+                         l: int) -> SubsystemUnitary:
+    """U = |s_k><s_l| + |s_l><s_k| + identity elsewhere, on the system side."""
+    if not (0 <= k < sd.rank and 0 <= l < sd.rank):
+        raise BadIndex(f"indices ({k}, {l}) outside rank {sd.rank}")
+    return SubsystemUnitary(sd.left_labels, _swap_matrix(sd.left_basis, k, l))
+
+
 def _complement_basis(cols: np.ndarray, dim: int) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of the columns."""
     if cols.shape[1] == 0:
@@ -141,14 +148,9 @@ def _environment_undo(before: PureState, after: PureState,
     built from the singular frames of both states, handling degenerate
     spectra via the block rotation Q = U^+ U'.
     """
-    layout = before.layout
-    dl = layout.subdim(system_labels)
-
     def frames(state):
-        from .tensor_core import _moved
-        arr, _ = _moved(state, system_labels)
-        mat = arr.reshape(dl, -1)
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
+        u, s, vh = np.linalg.svd(matricize(state, system_labels),
+                                 full_matrices=False)
         r = int(np.sum(s > KERNEL_TOL))
         return u[:, :r], s[:r], vh[:r, :].conj().T   # V columns: A v = s u
 
@@ -166,26 +168,25 @@ def is_envariant(state: PureState, u: SubsystemUnitary,
     """Decide envariance of ``u`` and construct a verified undo.
 
     Decision rule: if the reduced operator on the non-environment side
-    changes beyond 1e-10 entrywise, no environment action can restore the
+    changes beyond STATE_TOL entrywise, no environment action can restore the
     state (verdict false, trace-distance witness recorded).  Otherwise an
     undo is built from the Schmidt frames and verified to restore the
     global state up to global phase.
     """
     env = set(environment_side if not isinstance(environment_side, str)
               else [environment_side])
-    state.layout.check_labels(env)
+    env_labels = state.layout.ordered(env)
     if set(u.targets) & env:
         raise SideViolation(
             f"unitary targets {u.targets} overlap environment side"
         )
-    sys_labels = tuple(l for l in state.layout.labels if l not in env)
-    env_labels = tuple(l for l in state.layout.labels if l in env)
+    sys_labels = state.layout.complement(env)
     rho_before = partial_trace(state, sys_labels)
     after = apply_unitary(state, u)
     rho_after = partial_trace(after, sys_labels)
     entry_gap = float(np.max(np.abs(rho_before.matrix - rho_after.matrix)))
     witness = trace_distance(rho_before, rho_after)
-    if entry_gap > ENVARIANCE_TOL:
+    if entry_gap > STATE_TOL:
         return EnvarianceVerdict(
             False, None, global_phase_distance(state, after), witness,
             "reduced system operator changed",
@@ -193,7 +194,7 @@ def is_envariant(state: PureState, u: SubsystemUnitary,
     undo = _environment_undo(state, after, sys_labels, env_labels)
     restored = apply_unitary(after, undo)
     residual = global_phase_distance(restored, state)
-    if residual >= ENVARIANCE_TOL:
+    if residual >= STATE_TOL:
         return EnvarianceVerdict(
             False, None, residual, witness,
             "undo construction failed to restore the state",
@@ -205,22 +206,9 @@ def envariant_swap(state: PureState, k: int, l: int,
                    sd: SchmidtDecomposition):
     """Swap Schmidt terms k and l on the system side; return the swapped
     state together with the environment-side counterswap."""
-    if not (0 <= k < sd.rank and 0 <= l < sd.rank):
-        raise BadIndex(f"indices ({k}, {l}) outside rank {sd.rank}")
-
-    def swap_matrix(basis, dim):
-        a, b = basis[:, k], basis[:, l]
-        m = np.eye(dim, dtype=complex)
-        m += np.outer(a, b.conj()) + np.outer(b, a.conj())
-        m -= np.outer(a, a.conj()) + np.outer(b, b.conj())
-        return m
-
-    s_swap = SubsystemUnitary(
-        sd.left_labels, swap_matrix(sd.left_basis, sd.left_basis.shape[0])
-    )
-    counter = SubsystemUnitary(
-        sd.right_labels, swap_matrix(sd.right_basis, sd.right_basis.shape[0])
-    )
+    s_swap = schmidt_swap_unitary(sd, k, l)
+    counter = SubsystemUnitary(sd.right_labels,
+                               _swap_matrix(sd.right_basis, k, l))
     return apply_unitary(state, s_swap), counter
 
 
@@ -233,7 +221,7 @@ def equal_amplitude_probabilities(state: PureState, system) -> np.ndarray:
     coeffs = sd.coefficients[: sd.rank]
     if coeffs.size == 0:
         raise NotEqualAmplitude("state has no Schmidt terms")
-    if coeffs.max() - coeffs.min() > ENVARIANCE_TOL:
+    if coeffs.max() - coeffs.min() > STATE_TOL:
         raise NotEqualAmplitude(
             f"coefficients range over [{coeffs.min()}, {coeffs.max()}]"
         )
@@ -262,8 +250,7 @@ def fine_grain(state: PureState, plan: FineGrainingPlan) -> PureState:
     the system is untouched.
     """
     sys_labels = state.layout.ordered(plan.system_labels)
-    env_labels = tuple(l for l in state.layout.labels
-                       if l not in set(sys_labels))
+    env_labels = state.layout.complement(sys_labels)
     if plan.ancilla_label in state.layout.labels:
         raise PlanMismatch(f"ancilla label {plan.ancilla_label!r} already used")
     sd = schmidt_decompose(state, sys_labels)
@@ -293,10 +280,7 @@ def fine_grain(state: PureState, plan: FineGrainingPlan) -> PureState:
     w = frame @ eps.conj().T
     w += _complement_basis(frame, de) @ _complement_basis(eps, de).conj().T
     rotated = apply_unitary(state, SubsystemUnitary(env_labels, w))
-    ancilla = basis_state(
-        SpaceLayout([(plan.ancilla_label, plan.ancilla_dimension)]), [0]
-    )
-    joined = tensor_product(rotated, ancilla)
+    joined = attach_ready(rotated, plan.ancilla_label, m)
     return controlled_shift(joined, list(env_labels), plan.ancilla_label)
 
 
@@ -319,8 +303,7 @@ def find_commensurate_denominator(probs, tolerance: float,
 
 
 def born_probabilities(state: PureState, system, tolerance: float = 1e-10,
-                       m_cap: int = DEFAULT_M_CAP,
-                       ancilla_label: str = "_anc") -> np.ndarray:
+                       m_cap: int = DEFAULT_M_CAP) -> np.ndarray:
     """Outcome probabilities by fine-graining and counting equal terms.
 
     Returns p_k = m_k / M per Schmidt term, ordered by each system
@@ -332,14 +315,11 @@ def born_probabilities(state: PureState, system, tolerance: float = 1e-10,
     sd = schmidt_decompose(state, sys_labels)
     probs = sd.coefficients[: sd.rank] ** 2
     m, counts = find_commensurate_denominator(probs, tolerance, m_cap)
-    plan = FineGrainingPlan(counts, sys_labels, ancilla_label,
-                            ancilla_dimension=m, tolerance=tolerance + 0.5 / m)
+    plan = FineGrainingPlan(counts, sys_labels, "_anc",
+                            tolerance=tolerance + 0.5 / m)
     fine = fine_grain(state, plan)
-    env_labels = tuple(l for l in state.layout.labels
-                       if l not in set(sys_labels))
-    per_term = equal_amplitude_probabilities(
-        fine, tuple(sys_labels) + env_labels
-    )
+    # the M counting terms live across (original labels | ancilla)
+    per_term = equal_amplitude_probabilities(fine, state.layout.labels)
     if per_term.size != m:
         raise PlanMismatch(
             f"fine-grained state has {per_term.size} terms, expected {m}"
@@ -361,11 +341,8 @@ def born_probabilities(state: PureState, system, tolerance: float = 1e-10,
 
 def _pointer_order(sd: SchmidtDecomposition) -> np.ndarray:
     """Schmidt-term order keyed by the system vectors' leading basis index."""
-    firsts = []
-    for k in range(sd.rank):
-        nz = np.flatnonzero(np.abs(sd.left_basis[:, k]) > 1e-9)
-        firsts.append(nz[0] if nz.size else sd.left_basis.shape[0])
-    return np.argsort(np.asarray(firsts), kind="stable")
+    return np.argsort(_leading_index(sd.left_basis[:, : sd.rank]),
+                      kind="stable")
 
 
 def schmidt_probabilities(state: PureState, system) -> np.ndarray:
@@ -393,8 +370,8 @@ def rational_bounds(state: PureState, system, m: int) -> ProbabilityBound:
     lower_counts = np.floor(scaled + 1e-9).astype(int)
     upper_counts = np.ceil(scaled - 1e-9).astype(int)
     for k in range(n):
-        _comparison_state(_endpoint_counts(lower_counts[k], k, probs, m), m)
-        _comparison_state(_endpoint_counts(upper_counts[k], k, probs, m), m)
+        for pinned in (lower_counts[k], upper_counts[k]):
+            _check_comparison_state(_endpoint_counts(pinned, k, probs, m), m)
     order = _pointer_order(sd)
     return ProbabilityBound(
         lower=(lower_counts / m)[order],
@@ -427,21 +404,16 @@ def _endpoint_counts(pinned: int, k: int, probs: np.ndarray,
     return counts
 
 
-def _comparison_state(counts: np.ndarray, m: int) -> PureState:
-    """Bipartite state with exactly the rational spectrum counts/m."""
+def _check_comparison_state(counts: np.ndarray, m: int) -> None:
+    """Build the bipartite state with spectrum counts/m and check that its
+    squared Schmidt coefficients are exactly that spectrum."""
     counts = np.asarray(counts, dtype=int)
-    n = counts.size
-    amps = np.zeros((n, m), dtype=complex)
-    for k in range(n):
-        if counts[k] > 0:
-            amps[k, k] = math.sqrt(counts[k] / m)
-    layout = SpaceLayout([("_cmpS", n), ("_cmpE", m)])
-    state = PureState(layout, amps.ravel())
-    spec = np.sort(np.linalg.svd(amps, compute_uv=False))[::-1] ** 2
+    state = schmidt_state(np.sqrt(counts / m), m)
+    spec = np.sort(np.linalg.svd(matricize(state, ["S"]),
+                                 compute_uv=False))[::-1] ** 2
     want = np.sort(counts / m)[::-1][: spec.size]
-    if np.max(np.abs(spec[: want.size] - want)) > 1e-12:
+    if np.max(np.abs(spec[: want.size] - want)) > KERNEL_TOL:
         raise PlanMismatch("comparison state spectrum mismatch")
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +441,9 @@ def phase_sensitivity_witness(psi: PureState, psi_prime: PureState):
             gap = max(gap, abs(2.0 * zx.real), abs(2.0 * zx.imag))
 
     rec = f"{label}_rec"
-    rec_layout = SpaceLayout([(rec, d)])
 
     def reduced(state):
-        joined = tensor_product(state, basis_state(rec_layout, [0]))
+        joined = attach_ready(state, rec, d)
         entangled = controlled_shift(joined, label, rec)
         return partial_trace(entangled, [label])
 

@@ -95,10 +95,6 @@ class NotEqualAmplitude(EnvLabError):
     """Equal-amplitude counting requested for unequal coefficients."""
 
 
-class AncillaTooSmall(EnvLabError):
-    """Ancilla dimension below the fine-graining total."""
-
-
 class PlanMismatch(EnvLabError):
     """Fine-graining counts incompatible with the state's spectrum."""
 

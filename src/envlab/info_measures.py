@@ -2,23 +2,22 @@
 (locally accessible) information over system/fragment splits.
 
 All entropies are von Neumann, base-2 logarithm, in bits.  Eigenvalues
-at or below 1e-12 are dropped when evaluating x*log2(x).
+at or below ``KERNEL_TOL`` are dropped when evaluating x*log2(x).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDensity, OverlappingSplit, UndefinedRatio
+from .errors import OverlappingSplit, UndefinedRatio
 from .tensor_core import (
+    KERNEL_TOL,
     DensityOperator,
     PureState,
     partial_trace,
     relative_states,
 )
-
-EIGENVALUE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,9 +60,7 @@ class RedundancyReport:
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """-sum p log2 p over the eigenvalues of rho, in bits."""
     eigs = rho.eigenvalues()
-    if eigs.min() < -1e-10:
-        raise InvalidDensity(f"eigenvalue {eigs.min()} below -1e-10")
-    p = eigs[eigs > EIGENVALUE_FLOOR]
+    p = eigs[eigs > KERNEL_TOL]
     h = float(-(p * np.log2(p)).sum())
     return max(0.0, h)
 
@@ -73,10 +70,15 @@ def mutual_information(state: PureState, split: FragmentSpec) -> float:
     state.layout.check_labels(split.system_labels)
     state.layout.check_labels(split.fragment_labels)
     hs = von_neumann_entropy(partial_trace(state, split.system_labels))
-    hf = von_neumann_entropy(partial_trace(state, split.fragment_labels))
-    hsf = von_neumann_entropy(
-        partial_trace(state, split.system_labels + split.fragment_labels)
-    )
+    return _mutual_information(state, split.system_labels,
+                               split.fragment_labels, hs)
+
+
+def _mutual_information(state: PureState, system: tuple, fragment: tuple,
+                        hs: float) -> float:
+    """I(S:F) given H(S) = ``hs``, clamped to >= 0."""
+    hf = von_neumann_entropy(partial_trace(state, fragment))
+    hsf = von_neumann_entropy(partial_trace(state, system + fragment))
     return max(0.0, hs + hf - hsf)
 
 
@@ -91,11 +93,9 @@ def redundancy_report(state: PureState, system, fragments) -> RedundancyReport:
             raise OverlappingSplit(f"fragment {f} overlaps earlier labels")
         claimed |= set(f)
     hs = von_neumann_entropy(partial_trace(state, system))
-    if hs <= 1e-12:
+    if hs <= KERNEL_TOL:
         raise UndefinedRatio("system entropy is zero; ratio undefined")
-    mis = tuple(
-        mutual_information(state, FragmentSpec(system, f)) for f in frag_sets
-    )
+    mis = tuple(_mutual_information(state, system, f, hs) for f in frag_sets)
     total = float(sum(mis))
     return RedundancyReport(mis, total, hs, total / hs)
 
@@ -107,7 +107,8 @@ def basis_conditioned_mutual_information(
 
     The fragment is projected onto each basis vector; the conditional
     state of the system is the renormalized remainder traced down to the
-    system labels.  Outcomes with probability below 1e-12 are skipped.
+    system labels.  Outcomes with probability below ``KERNEL_TOL`` are
+    skipped.
     """
     state.layout.check_labels(split.system_labels)
     state.layout.check_labels(split.fragment_labels)
@@ -116,7 +117,7 @@ def basis_conditioned_mutual_information(
     for coeff, partner in relative_states(state, split.fragment_labels,
                                           fragment_basis):
         p = abs(coeff) ** 2
-        if p < 1e-12 or partner is None:
+        if p < KERNEL_TOL or partner is None:
             continue
         rho_cond = partial_trace(partner, split.system_labels)
         avg += p * von_neumann_entropy(rho_cond)

@@ -22,19 +22,17 @@ from .errors import (
     NotNormalized,
 )
 from .tensor_core import (
+    KERNEL_TOL,
+    STATE_TOL,
     PureState,
-    SpaceLayout,
     SubsystemUnitary,
     apply_unitary,
-    basis_state,
+    attach_ready,
     controlled_shift,
     partial_trace,
     relative_states,
     single_state,
-    tensor_product,
 )
-
-READY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -57,7 +55,7 @@ class BranchSpec:
                 f"{len(amps)} amplitudes for dimension {pointer_dimension}"
             )
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > 1e-10:
+        if abs(nrm - 1.0) > STATE_TOL:
             raise NotNormalized(f"branch amplitudes have norm {nrm}")
         if not 0.0 <= record_overlap <= 1.0:
             raise BadOverlap(f"overlap {record_overlap} outside [0, 1]")
@@ -70,7 +68,7 @@ class BranchSpec:
 @dataclass(frozen=True)
 class ObserverOutcomeTable:
     """Prior over pointer outcomes and p(s_l | mu_k) rows per memory
-    outcome.  Rows whose memory probability is < 1e-12 fall back to the
+    outcome.  Rows whose memory probability is < KERNEL_TOL fall back to the
     prior and are flagged in ``defined``."""
 
     prior: np.ndarray
@@ -84,7 +82,7 @@ def _assert_ready(state: PureState, label: str, what: str) -> None:
     d = rho.shape[0]
     expect = np.zeros((d, d))
     expect[0, 0] = 1.0
-    if np.max(np.abs(rho - expect)) > READY_TOL:
+    if np.max(np.abs(rho - expect)) > STATE_TOL:
         raise ApparatusNotReady(f"{what} {label!r} is not in its ready state")
 
 
@@ -97,19 +95,23 @@ def _assert_capacity(state: PureState, source: str, target: str) -> None:
         )
 
 
+def _copy_record(state: PureState, source: str, target: str,
+                 what: str) -> PureState:
+    """Controlled shift of ``source`` onto a large-enough, ready ``target``."""
+    _assert_capacity(state, source, target)
+    _assert_ready(state, target, what)
+    return controlled_shift(state, source, target)
+
+
 def premeasure(state: PureState, system: str, apparatus: str) -> PureState:
     """Controlled shift |s_k>|A_0> -> |s_k>|A_k> (pre-measurement)."""
-    _assert_capacity(state, system, apparatus)
-    _assert_ready(state, apparatus, "apparatus")
-    return controlled_shift(state, system, apparatus)
+    return _copy_record(state, system, apparatus, "apparatus")
 
 
 def entangle_environment(state: PureState, pointer: str,
                          environment: str) -> PureState:
     """Controlled shift from the pointer onto a fresh environment."""
-    _assert_capacity(state, pointer, environment)
-    _assert_ready(state, environment, "environment")
-    return controlled_shift(state, pointer, environment)
+    return _copy_record(state, pointer, environment, "environment")
 
 
 def record_states(n_branches: int, env_dim: int, overlap: float) -> np.ndarray:
@@ -156,11 +158,11 @@ def broadcast_environment(state: PureState, pointer: str, environments,
     out = state
     dp = state.layout.dim(pointer)
     for env in environments:
-        _assert_capacity(out, pointer, env)
-        _assert_ready(out, env, "environment")
         if overlap == 0.0:
-            out = controlled_shift(out, pointer, env)
+            out = _copy_record(out, pointer, env, "environment")
         else:
+            _assert_capacity(out, pointer, env)
+            _assert_ready(out, env, "environment")
             de = out.layout.dim(env)
             recs = record_states(dp, de, overlap)
             blocks = [_preparation_unitary(recs[k]) for k in range(dp)]
@@ -181,17 +183,13 @@ def cascade_environment(state: PureState, immediate, distant) -> PureState:
         )
     out = state
     for src, dst in zip(immediate, distant):
-        _assert_capacity(out, src, dst)
-        _assert_ready(out, dst, "distant environment")
-        out = controlled_shift(out, src, dst)
+        out = _copy_record(out, src, dst, "distant environment")
     return out
 
 
 def observer_record(state: PureState, system: str, memory: str) -> PureState:
     """Copy the system's pointer index onto the observer's memory."""
-    _assert_capacity(state, system, memory)
-    _assert_ready(state, memory, "memory")
-    return controlled_shift(state, system, memory)
+    return _copy_record(state, system, memory, "memory")
 
 
 def conditional_probability(state: PureState, memory: str,
@@ -207,7 +205,7 @@ def conditional_probability(state: PureState, memory: str,
         relative_states(state, [memory], basis)
     ):
         p = abs(coeff) ** 2
-        if p < 1e-12 or partner is None:
+        if p < KERNEL_TOL or partner is None:
             conditional[k] = prior
             continue
         rho = partial_trace(partner, [system]).matrix
@@ -225,14 +223,12 @@ def build_branch_state(spec: BranchSpec, apparatus: str | None = None,
     d = spec.pointer_dimension
     out = single_state(spec.system_label, spec.amplitudes)
     if apparatus is not None:
-        out = tensor_product(
-            out, basis_state(SpaceLayout([(apparatus, d)]), [0])
-        )
+        out = attach_ready(out, apparatus, d)
         out = premeasure(out, spec.system_label, apparatus)
     pointer = apparatus if apparatus is not None else spec.system_label
     environments = list(environments)
     for env in environments:
-        out = tensor_product(out, basis_state(SpaceLayout([(env, d)]), [0]))
+        out = attach_ready(out, env, d)
     if environments:
         out = broadcast_environment(out, pointer, environments,
                                     spec.record_overlap)

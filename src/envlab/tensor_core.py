@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     BadBasis,
+    DimensionMismatch,
     EmptyKeepSet,
     InvalidBipartition,
     InvalidDensity,
@@ -105,6 +105,11 @@ class SpaceLayout:
         return int(np.prod([self.dim(l) for l in labels], dtype=np.int64)) \
             if labels else 1
 
+    def complement(self, labels) -> tuple[str, ...]:
+        """The layout's labels not in ``labels``, in layout order."""
+        drop = set(labels)
+        return tuple(l for l in self.labels if l not in drop)
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=complex)
@@ -144,24 +149,27 @@ class DensityOperator:
     layout: SpaceLayout
     matrix: np.ndarray
 
-    def __init__(self, layout: SpaceLayout, matrix, validate: bool = True):
+    def __init__(self, layout: SpaceLayout, matrix):
         mat = _freeze(np.asarray(matrix))
         d = layout.total_dimension
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} != ({d}, {d})")
-        if validate:
-            if np.max(np.abs(mat - mat.conj().T)) > STATE_TOL:
-                raise InvalidDensity("matrix not Hermitian within tolerance")
-            tr = np.trace(mat)
-            if abs(tr - 1.0) > STATE_TOL:
-                raise InvalidDensity(f"trace {tr} differs from 1")
-            if np.linalg.eigvalsh(mat).min() < -STATE_TOL:
-                raise InvalidDensity("negative eigenvalue beyond tolerance")
+        if np.max(np.abs(mat - mat.conj().T)) > STATE_TOL:
+            raise InvalidDensity("matrix not Hermitian within tolerance")
+        tr = np.trace(mat)
+        if abs(tr - 1.0) > STATE_TOL:
+            raise InvalidDensity(f"trace {tr} differs from 1")
+        eigs = np.linalg.eigvalsh(mat)
+        if eigs.min() < -STATE_TOL:
+            raise InvalidDensity("negative eigenvalue beyond tolerance")
+        eigs.flags.writeable = False
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "_eigenvalues", eigs)
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+        """Ascending eigenvalues, as computed by the PSD check."""
+        return self._eigenvalues
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,6 +234,18 @@ def single_state(label: str, amplitudes) -> PureState:
     return PureState(SpaceLayout([(label, amps.size)]), amps)
 
 
+def schmidt_state(amplitudes, env_dim: int) -> PureState:
+    """sum_k a_k |k>_S |k>_E over layout (S, E), with E of dimension
+    ``env_dim`` (at least the number of amplitudes)."""
+    amps = np.asarray(amplitudes, dtype=complex).ravel()
+    d = amps.size
+    if env_dim < d:
+        raise DimensionMismatch(f"environment dimension {env_dim} < {d}")
+    mat = np.zeros((d, env_dim), dtype=complex)
+    mat[np.arange(d), np.arange(d)] = amps
+    return PureState(SpaceLayout([("S", d), ("E", env_dim)]), mat.ravel())
+
+
 # ---------------------------------------------------------------------------
 # operations
 
@@ -238,12 +258,25 @@ def tensor_product(a: PureState, b: PureState) -> PureState:
     return PureState(layout, np.kron(a.amplitudes, b.amplitudes))
 
 
+def attach_ready(state: PureState, label: str, dim: int) -> PureState:
+    """state x |0>_label: a fresh subsystem in its ready (index-0) state."""
+    ready = basis_state(SpaceLayout([(label, dim)]), [0])
+    return tensor_product(state, ready)
+
+
 def _moved(state: PureState, front_labels) -> tuple[np.ndarray, list[int]]:
     """State tensor with the given labels moved to the leading axes."""
     idx = [state.layout.index(l) for l in front_labels]
     rest = [i for i in range(len(state.layout.dims)) if i not in idx]
     perm = idx + rest
     return state.tensor().transpose(perm), perm
+
+
+def matricize(state: PureState, row_labels) -> np.ndarray:
+    """Amplitudes as a matrix: rows index ``row_labels`` (in the given
+    order), columns the remaining subsystems in layout order."""
+    arr, _ = _moved(state, row_labels)
+    return arr.reshape(state.layout.subdim(row_labels), -1)
 
 
 def apply_unitary(state: PureState, u: SubsystemUnitary) -> PureState:
@@ -296,9 +329,7 @@ def partial_trace(state, keep) -> DensityOperator:
         if len(keep_ordered) == len(layout.labels):
             v = state.amplitudes
             return DensityOperator(layout, np.outer(v, v.conj()))
-        arr, _ = _moved(state, keep_ordered)
-        dk = layout.subdim(keep_ordered)
-        mat = arr.reshape(dk, -1)
+        mat = matricize(state, keep_ordered)
         rho = mat @ mat.conj().T
         return DensityOperator(layout.restrict(keep_ordered), rho)
     if isinstance(state, DensityOperator):
@@ -316,14 +347,24 @@ def partial_trace(state, keep) -> DensityOperator:
     raise TypeError(f"unsupported input type {type(state)!r}")
 
 
-def _phase_fix(columns: np.ndarray, tol: float = KERNEL_TOL) -> np.ndarray:
-    """Per-column phases making the first significant entry real positive."""
-    phases = np.ones(columns.shape[1], dtype=complex)
+def _leading_index(columns: np.ndarray) -> np.ndarray:
+    """Per column, the row of the first entry above KERNEL_TOL in
+    magnitude; the row count for a column with no such entry."""
+    firsts = np.full(columns.shape[1], columns.shape[0], dtype=int)
     for k in range(columns.shape[1]):
-        nz = np.flatnonzero(np.abs(columns[:, k]) > tol)
+        nz = np.flatnonzero(np.abs(columns[:, k]) > KERNEL_TOL)
         if nz.size:
-            z = columns[nz[0], k]
-            phases[k] = z / abs(z)
+            firsts[k] = nz[0]
+    return firsts
+
+
+def _phase_fix(columns: np.ndarray, firsts: np.ndarray) -> np.ndarray:
+    """Per-column phases making the first significant entry real positive;
+    ``firsts`` is ``_leading_index(columns)``."""
+    phases = np.ones(columns.shape[1], dtype=complex)
+    for k, i in enumerate(firsts):
+        if i < columns.shape[0]:
+            phases[k] = columns[i, k] / abs(columns[i, k])
     return phases
 
 
@@ -332,18 +373,16 @@ def schmidt_decompose(state: PureState, left) -> SchmidtDecomposition:
     if isinstance(left, str):
         left = [left]
     left_ordered = state.layout.ordered(left)
-    right_ordered = tuple(l for l in state.layout.labels
-                          if l not in set(left_ordered))
+    right_ordered = state.layout.complement(left_ordered)
     if not left_ordered or not right_ordered:
         raise InvalidBipartition("both sides of the bipartition must be non-empty")
-    dl = state.layout.subdim(left_ordered)
-    arr, _ = _moved(state, left_ordered)
-    mat = arr.reshape(dl, -1)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    u, s, vh = np.linalg.svd(matricize(state, left_ordered),
+                             full_matrices=False)
     # tie-break numerically degenerate coefficients deterministically
-    order = _degenerate_order(s, u)
+    firsts = _leading_index(u)
+    order = _degenerate_order(s, firsts)
     u, s, vh = u[:, order], s[order], vh[order, :]
-    phases = _phase_fix(u)
+    phases = _phase_fix(u, firsts[order])
     u = u / phases[np.newaxis, :]
     right = vh.T * phases[np.newaxis, :]   # columns are right kets
     coeffs = np.asarray(s, dtype=float)
@@ -352,12 +391,8 @@ def schmidt_decompose(state: PureState, left) -> SchmidtDecomposition:
                                 coeffs, _freeze(u), _freeze(right))
 
 
-def _degenerate_order(s: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Stable order: descending coefficient, ties by first nonzero row."""
-    firsts = []
-    for k in range(u.shape[1]):
-        nz = np.flatnonzero(np.abs(u[:, k]) > KERNEL_TOL)
-        firsts.append(nz[0] if nz.size else u.shape[0])
+def _degenerate_order(s: np.ndarray, firsts: np.ndarray) -> np.ndarray:
+    """Stable order: descending coefficient, ties by leading row."""
     keys = list(zip(-np.round(s / KERNEL_TOL) * KERNEL_TOL, firsts))
     return np.array(sorted(range(len(s)), key=lambda i: keys[i]), dtype=int)
 
@@ -379,13 +414,12 @@ def relative_states(state: PureState, left, basis):
 
     Returns a list of ``(coefficient, partner)`` pairs; the partner is a
     normalized PureState on the complement, or None when the coefficient
-    magnitude falls below 1e-12 (flagged zero rather than normalized).
+    magnitude falls below KERNEL_TOL (flagged zero rather than normalized).
     """
     if isinstance(left, str):
         left = [left]
     left_ordered = state.layout.ordered(left)
-    right_ordered = tuple(l for l in state.layout.labels
-                          if l not in set(left_ordered))
+    right_ordered = state.layout.complement(left_ordered)
     if not right_ordered:
         raise InvalidBipartition("left side covers the whole layout")
     dl = state.layout.subdim(left_ordered)
@@ -395,8 +429,7 @@ def relative_states(state: PureState, left, basis):
     gram = bmat.conj() @ bmat.T
     if np.max(np.abs(gram - np.eye(dl))) > STATE_TOL:
         raise BadBasis("vectors are not orthonormal within tolerance")
-    arr, _ = _moved(state, left_ordered)
-    mat = arr.reshape(dl, -1)
+    mat = matricize(state, left_ordered)
     right_layout = state.layout.restrict(right_ordered)
     out = []
     for b in bmat:
@@ -405,8 +438,8 @@ def relative_states(state: PureState, left, basis):
         if c < KERNEL_TOL:
             out.append((0j, None))
             continue
-        unit = w / c
-        ph = _phase_fix(unit[:, np.newaxis])[0]
+        unit = w[:, np.newaxis] / c
+        ph = _phase_fix(unit, _leading_index(unit))[0]
         out.append((c * ph, PureState(right_layout, unit / ph)))
     return out
 

@@ -144,6 +144,30 @@ class TestPlumbing:
         assert code == 2
         assert json.loads(err)["error"] == "validation"
 
+    @pytest.mark.parametrize("kind", ["born", "einselect", "envariance",
+                                      "redundancy", "cascade"])
+    @pytest.mark.parametrize("amps", ["nan,1", "inf,1", "1,-inf"])
+    def test_non_finite_amplitudes(self, capsys, kind, amps):
+        code, _, err = run_cli(capsys, kind, "--amplitudes", amps)
+        assert code == 2
+        assert json.loads(err)["fields"] == {
+            "amplitudes": "amplitudes must be finite"}
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance(self, capsys, tol):
+        code, _, err = run_cli(
+            capsys, "born", "--amplitudes", "1,1", "--tolerance", tol)
+        assert code == 2
+        assert json.loads(err)["fields"] == {
+            "tolerance": "tolerance must be finite"}
+
+    def test_non_finite_config_amplitudes(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"amplitudes": [NaN, 1]}')
+        code, _, err = run_cli(capsys, "born", "--config", str(cfg))
+        assert code == 2
+        assert "amplitudes" in json.loads(err)["fields"]
+
     def test_missing_amplitudes(self, capsys):
         code, _, err = run_cli(capsys, "born")
         assert code == 2

@@ -14,6 +14,7 @@ from envlab.envariance import (
     rational_bounds,
     schmidt_phase_unitary,
     schmidt_probabilities,
+    schmidt_swap_unitary,
     subset_probability,
 )
 from envlab.tensor_core import (
@@ -156,6 +157,22 @@ class TestEnvariantSwap:
         with pytest.raises(errors.BadIndex):
             envariant_swap(bell(), 0, 5, sd)
 
+    def test_swap_unitary_undone_by_counterswap(self):
+        phases = np.exp(1j * np.array([0.3, 1.1, 2.0]))
+        for st in (bell(), bipartite(np.diag(phases))):
+            sd = schmidt_decompose(st, ["S"])
+            for k, l in [(0, 1), (1, 0), (0, sd.rank - 1)]:
+                swapped = apply_unitary(st, schmidt_swap_unitary(sd, k, l))
+                _, counter = envariant_swap(st, k, l, sd)
+                restored = apply_unitary(swapped, counter)
+                assert states_equal_up_to_global_phase(restored, st, 1e-10)
+
+    @pytest.mark.parametrize("k, l", [(0, 2), (-1, 0), (2, 2)])
+    def test_swap_unitary_bad_index(self, k, l):
+        sd = schmidt_decompose(bell(), ["S"])
+        with pytest.raises(errors.BadIndex):
+            schmidt_swap_unitary(sd, k, l)
+
 
 class TestEqualAmplitudes:
     def test_bell_half_half(self):
@@ -220,10 +237,6 @@ class TestFineGrain:
         after = partial_trace(fine, ["S"]).matrix
         np.testing.assert_allclose(after, before, atol=1e-12)
 
-    def test_ancilla_too_small(self):
-        with pytest.raises(errors.AncillaTooSmall):
-            FineGrainingPlan((2, 1), ["S"], "C", ancilla_dimension=2)
-
     def test_plan_mismatch(self):
         plan = FineGrainingPlan((1, 1, 1), ["S"], "C")
         with pytest.raises(errors.PlanMismatch):
@@ -271,6 +284,20 @@ class TestBornProbabilities:
             got = born_probabilities(st, ["S"], m_cap=64)
             want = schmidt_probabilities(st, ["S"])
             assert np.max(np.abs(got - want)) < 1e-10
+
+    def test_pointer_order_not_coefficient_order(self):
+        # pointer states |0>,|1>,|2> carry p = 1/8, 1/2, 3/8, partnered
+        # with environment states in yet another order
+        amps = np.zeros((3, 8), dtype=complex)
+        amps[0, 5] = np.sqrt(1 / 8) * 1j
+        amps[1, 0] = -np.sqrt(1 / 2)
+        amps[2, 3] = np.sqrt(3 / 8) * np.exp(0.7j)
+        st = bipartite(amps)
+        want = [1 / 8, 1 / 2, 3 / 8]
+        np.testing.assert_allclose(born_probabilities(st, ["S"]), want,
+                                   atol=1e-12)
+        np.testing.assert_allclose(schmidt_probabilities(st, ["S"]), want,
+                                   atol=1e-12)
 
     def test_incommensurable_raises(self):
         p = np.cos(1.0) ** 2

@@ -12,6 +12,7 @@ from envlab.info_measures import (
 )
 from envlab.measurement_models import BranchSpec, build_branch_state
 from envlab.tensor_core import (
+    DensityOperator,
     PureState,
     SpaceLayout,
     basis_state,
@@ -61,12 +62,9 @@ class TestEntropy:
                        - entropy_oracle(rho.matrix)) < 1e-10
 
     def test_invalid_density(self):
-        from envlab.tensor_core import DensityOperator
-        bad = DensityOperator(SpaceLayout([("S", 2)]),
-                              np.array([[1.5, 0], [0, -0.5]]),
-                              validate=False)
         with pytest.raises(errors.InvalidDensity):
-            von_neumann_entropy(bad)
+            DensityOperator(SpaceLayout([("S", 2)]),
+                            np.array([[1.5, 0], [0, -0.5]]))
 
 
 class TestMutualInformation:

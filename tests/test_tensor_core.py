@@ -16,6 +16,7 @@ from envlab.tensor_core import (
     save_state,
     schmidt_decompose,
     schmidt_reconstruct,
+    schmidt_state,
     single_state,
     states_equal_up_to_global_phase,
     tensor_product,
@@ -53,6 +54,14 @@ class TestLayoutAndState:
     def test_index_convention_leftmost_slowest(self):
         st = basis_state(SpaceLayout([("S", 2), ("A", 3)]), [1, 2])
         assert st.amplitudes[1 * 3 + 2] == 1.0
+
+    def test_schmidt_state_pairs_and_pads(self):
+        st = schmidt_state([0.6, 0.8j], 3)
+        assert st.layout.subsystems == (("S", 2), ("E", 3))
+        np.testing.assert_array_equal(st.amplitudes,
+                                      [0.6, 0, 0, 0, 0.8j, 0])
+        with pytest.raises(errors.DimensionMismatch):
+            schmidt_state([0.6, 0.8], 1)
 
 
 class TestTensorProduct:
@@ -212,6 +221,34 @@ class TestSchmidt:
             col = sd.left_basis[:, k]
             first = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
             assert abs(first.imag) < 1e-12 and first.real > 0
+
+    def test_phase_fix_on_complex_leading_entries(self):
+        # left Schmidt vectors whose first significant entry is complex
+        # and not always in row 0
+        left = np.array([[0, np.exp(0.4j)],
+                         [np.exp(2.1j), 0],
+                         [np.exp(-1.3j), 0]]) / np.array([np.sqrt(2), 1])
+        amps = (left * [np.sqrt(0.7), np.sqrt(0.3)]) @ np.eye(2, 3)
+        st = PureState(SpaceLayout([("S", 3), ("E", 3)]), amps.ravel())
+        sd = schmidt_decompose(st, ["S"])
+        for k in range(sd.rank):
+            col = sd.left_basis[:, k]
+            first = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
+            assert abs(first.imag) < 1e-12 and first.real > 0
+        assert global_phase_distance(schmidt_reconstruct(sd, st.layout),
+                                     st) < 1e-12
+
+    def test_degenerate_coefficients_ordered_by_leading_row(self):
+        # coefficient sqrt(1/2) on |1>, a degenerate pair sqrt(1/4) on
+        # |2> and |0>: the pair comes after, led by row 0 then row 2
+        amps = np.zeros((3, 3))
+        amps[1, 0] = np.sqrt(0.5)
+        amps[2, 1] = amps[0, 2] = np.sqrt(0.25)
+        st = PureState(SpaceLayout([("S", 3), ("E", 3)]), amps.ravel())
+        sd = schmidt_decompose(st, ["S"])
+        leading = [int(np.flatnonzero(np.abs(sd.left_basis[:, k]) > 1e-12)[0])
+                   for k in range(3)]
+        assert leading == [1, 0, 2]
 
     def test_nonzero_count_equals_rank(self):
         st = basis_state(SpaceLayout([("S", 3), ("E", 3)]), [0, 0])
