@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import os
+import secrets
 import sys
 import time
 from dataclasses import dataclass, field
@@ -43,6 +44,7 @@ from .tensor_core import (
     KERNEL_TOL,
     SubsystemUnitary,
     attach_ready,
+    dimension_guard,
     partial_trace,
     schmidt_decompose,
     schmidt_state,
@@ -102,6 +104,10 @@ class ScenarioConfig:
         if self.kind in ("einselect", "redundancy", "cascade", "envariance") \
                 and len(self.amplitudes) < 2:
             bad["amplitudes"] = "scenario needs at least two amplitudes"
+        try:
+            dimension_guard()
+        except ValueError as exc:
+            bad["ENVLAB_DIM_GUARD"] = str(exc)
         if bad:
             raise ValidationFailure(bad)
 
@@ -192,13 +198,16 @@ def _run_born(cfg: ScenarioConfig) -> tuple[dict, dict]:
         residuals["max_abs_gap"] = float(np.max(np.abs(counted - squared)))
     bounds_m = cfg.bounds_m or ([] if m is not None else [100, 1000, 10000])
     if bounds_m:
-        state = schmidt_state(amps, amps.size)
+        # zero-amplitude outcomes have no Schmidt term; they count 0 of M
+        support = np.flatnonzero(np.abs(amps) > KERNEL_TOL)
+        state = schmidt_state(amps[support], support.size)
         rows = []
         for bm in bounds_m:
             bound = rational_bounds(state, ("S",), bm)
-            for k in range(bound.lower.size):
-                rows.append([bm, k, bound.lower[k], bound.upper[k],
-                             bound.upper[k] - bound.lower[k]])
+            lower, upper = np.zeros(amps.size), np.zeros(amps.size)
+            lower[support], upper[support] = bound.lower, bound.upper
+            rows += [[bm, k, lower[k], upper[k], upper[k] - lower[k]]
+                     for k in range(amps.size)]
         tables["bounds"] = {
             "columns": ["m_used", "outcome_index", "lower", "upper", "width"],
             "rows": rows,
@@ -326,10 +335,16 @@ def emit_report(result: RunResult, fmt: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
         return
-    tmp = f"{out}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, out)
+    # unique per writer, in the target's directory so os.replace is atomic
+    tmp = f"{out}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
+    fh = open(tmp, "x")    # a failure here leaves nothing behind
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, out)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +381,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# converters of the config fields that default to ScenarioConfig's values
-_DEFAULTED_FIELDS = {"env_count": int, "overlap": float, "m_cap": int,
-                     "tolerance": float, "out": None, "format": None,
-                     "bounds_m": lambda ms: [int(m) for m in ms]}
+def _typed(kinds, what, cast=None):
+    """Converter that accepts only JSON values of the given Python types."""
+    def convert(value):
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise TypeError(f"must be {what}")
+        return cast(value) if cast else value
+    return convert
+
+
+def _list_of(item):
+    return _typed(list, "a list", lambda v: [item(x) for x in v])
+
+
+_INTEGER = _typed(int, "an integer")
+_NUMBER = _typed((int, float), "a number", float)
+_STRING = _typed(str, "a string")
+
+# typed converters of the fields a flag or the config document may set;
+# fields left unset take ScenarioConfig's defaults
+_FIELDS = {"amplitudes": _list_of(_NUMBER), "env_count": _INTEGER,
+           "overlap": _NUMBER, "m_cap": _INTEGER, "tolerance": _NUMBER,
+           "bounds_m": _list_of(_INTEGER), "out": _STRING, "format": _STRING}
 
 
 def config_from_args(args) -> ScenarioConfig:
@@ -382,20 +415,23 @@ def config_from_args(args) -> ScenarioConfig:
             raise ValidationFailure({"config": f"cannot read: {exc}"})
         except json.JSONDecodeError as exc:
             raise ValidationFailure({"config": f"invalid JSON: {exc}"})
-    def pick(key):
+        if not isinstance(doc, dict):
+            raise ValidationFailure({"config": "must be a JSON object"})
+    fields, bad = {}, {}
+    for key, convert in _FIELDS.items():
         flag = getattr(args, key)
-        return flag if flag is not None else doc.get(key)
-    amplitudes = pick("amplitudes")
-    if amplitudes is None:
-        raise ValidationFailure(
-            {"amplitudes": "required (flag or config field)"})
-    fields = {}
-    for key, convert in _DEFAULTED_FIELDS.items():
-        value = pick(key)
-        if value is not None:
-            fields[key] = convert(value) if convert else value
-    return ScenarioConfig(kind=args.kind,
-                          amplitudes=[float(a) for a in amplitudes], **fields)
+        value = flag if flag is not None else doc.get(key)
+        if value is None:
+            continue
+        try:
+            fields[key] = convert(value)
+        except (TypeError, OverflowError) as exc:
+            bad[key] = f"{exc}, got {value!r}"
+    if "amplitudes" not in fields and "amplitudes" not in bad:
+        bad["amplitudes"] = "required (flag or config field)"
+    if bad:
+        raise ValidationFailure(bad)
+    return ScenarioConfig(kind=args.kind, **fields)
 
 
 def _fail(code: int, doc: dict) -> int:

@@ -39,6 +39,7 @@ from .tensor_core import (
 )
 
 DEFAULT_M_CAP = 10 ** 4
+_SCAN_BLOCK = 1024       # denominator candidates tested per numpy pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,15 +219,18 @@ def envariant_swap(state: PureState, k: int, l: int,
 def equal_amplitude_probabilities(state: PureState, system) -> np.ndarray:
     """p_k = 1/N per Schmidt term; requires all coefficients equal."""
     sd = schmidt_decompose(state, system)
-    coeffs = sd.coefficients[: sd.rank]
+    return _equal_weights(sd.coefficients[: sd.rank])
+
+
+def _equal_weights(coeffs: np.ndarray) -> np.ndarray:
+    """1/N per term of N nonzero coefficients, which must all be equal."""
     if coeffs.size == 0:
         raise NotEqualAmplitude("state has no Schmidt terms")
     if coeffs.max() - coeffs.min() > STATE_TOL:
         raise NotEqualAmplitude(
             f"coefficients range over [{coeffs.min()}, {coeffs.max()}]"
         )
-    n = coeffs.size
-    return np.full(n, 1.0 / n)
+    return np.full(coeffs.size, 1.0 / coeffs.size)
 
 
 def subset_probability(state: PureState, system, indices) -> float:
@@ -237,6 +241,25 @@ def subset_probability(state: PureState, system, indices) -> float:
     if any(i < 0 or i >= n for i in chosen):
         raise BadIndex(f"subset {sorted(chosen)} outside range({n})")
     return len(chosen) / n
+
+
+def _check_counts(counts, probs: np.ndarray, tolerance: float,
+                  env_dim: int) -> None:
+    """Counts fit the spectrum within tolerance and the environment has
+    room for their total M of record states."""
+    m = sum(counts)
+    if len(counts) != probs.size:
+        raise PlanMismatch(
+            f"{len(counts)} counts for {probs.size} Schmidt terms"
+        )
+    target = np.asarray(counts, dtype=float) / m
+    if np.max(np.abs(probs - target)) > tolerance:
+        raise PlanMismatch(
+            "squared coefficients do not match counts within tolerance"
+        )
+    if env_dim < m:
+        raise PlanMismatch(f"environment dimension {env_dim} lacks room "
+                           f"for M = {m} record states")
 
 
 def fine_grain(state: PureState, plan: FineGrainingPlan) -> PureState:
@@ -255,21 +278,8 @@ def fine_grain(state: PureState, plan: FineGrainingPlan) -> PureState:
         raise PlanMismatch(f"ancilla label {plan.ancilla_label!r} already used")
     sd = schmidt_decompose(state, sys_labels)
     probs = sd.coefficients[: sd.rank] ** 2
-    m = plan.total
-    if len(plan.counts) != probs.size:
-        raise PlanMismatch(
-            f"{len(plan.counts)} counts for {probs.size} Schmidt terms"
-        )
-    target = np.asarray(plan.counts, dtype=float) / m
-    if np.max(np.abs(probs - target)) > plan.tolerance:
-        raise PlanMismatch(
-            "squared coefficients do not match counts within tolerance"
-        )
     de = state.layout.subdim(env_labels)
-    if de < m:
-        raise PlanMismatch(
-            f"environment dimension {de} lacks room for M = {m} record states"
-        )
+    _check_counts(plan.counts, probs, plan.tolerance, de)
     # block frame: Schmidt partner k -> uniform superposition over its block
     frame = np.zeros((de, probs.size), dtype=complex)
     offset = 0
@@ -280,22 +290,25 @@ def fine_grain(state: PureState, plan: FineGrainingPlan) -> PureState:
     w = frame @ eps.conj().T
     w += _complement_basis(frame, de) @ _complement_basis(eps, de).conj().T
     rotated = apply_unitary(state, SubsystemUnitary(env_labels, w))
-    joined = attach_ready(rotated, plan.ancilla_label, m)
+    joined = attach_ready(rotated, plan.ancilla_label, plan.total)
     return controlled_shift(joined, list(env_labels), plan.ancilla_label)
 
 
 def find_commensurate_denominator(probs, tolerance: float,
                                   m_cap: int = DEFAULT_M_CAP):
     """Smallest M <= m_cap with all probs within tolerance of m_k / M and
-    each m_k >= 1; returns (M, counts) or raises UseBoundsInstead."""
+    each m_k >= 1; returns (M, counts) or raises UseBoundsInstead.  Each
+    candidate in a block gets the float operations of a one-by-one scan."""
     probs = np.asarray(probs, dtype=float).ravel()
     n = probs.size
-    for m in range(n, m_cap + 1):
-        counts = np.rint(probs * m).astype(int)
-        if counts.min() < 1 or counts.sum() != m:
-            continue
-        if np.max(np.abs(probs - counts / m)) <= tolerance:
-            return m, tuple(int(c) for c in counts)
+    for start in range(n, m_cap + 1, _SCAN_BLOCK):
+        ms = np.arange(start, min(start + _SCAN_BLOCK, m_cap + 1))
+        counts = np.rint(probs[:, np.newaxis] * ms).astype(int)
+        gaps = np.max(np.abs(probs[:, np.newaxis] - counts / ms), axis=0)
+        hits = np.flatnonzero((counts.min(axis=0) >= 1)
+                              & (counts.sum(axis=0) == ms) & (gaps <= tolerance))
+        if hits.size:
+            return int(ms[hits[0]]), tuple(int(c) for c in counts[:, hits[0]])
     raise UseBoundsInstead(
         f"no denominator <= {m_cap} approximates the spectrum within "
         f"{tolerance}"
@@ -306,30 +319,27 @@ def born_probabilities(state: PureState, system, tolerance: float = 1e-10,
                        m_cap: int = DEFAULT_M_CAP) -> np.ndarray:
     """Outcome probabilities by fine-graining and counting equal terms.
 
-    Returns p_k = m_k / M per Schmidt term, ordered by each system
-    Schmidt vector's first significant basis index (so pointer-basis
-    states come back in pointer order).  Agreement with the squared
-    coefficients within tolerance + 1/M is asserted.
+    ``fine_grain`` splits Schmidt term k into m_k triple products of
+    coefficient sqrt(p_k / m_k); those M coefficients are checked here
+    without building the n*M^2 state.  Returns p_k = m_k / M per Schmidt
+    term, ordered by each system Schmidt vector's first significant basis
+    index (so pointer-basis states come back in pointer order).  Agreement
+    with the squared coefficients within tolerance + 1/M is asserted.
     """
     sys_labels = state.layout.ordered(system)
     sd = schmidt_decompose(state, sys_labels)
     probs = sd.coefficients[: sd.rank] ** 2
     m, counts = find_commensurate_denominator(probs, tolerance, m_cap)
-    plan = FineGrainingPlan(counts, sys_labels, "_anc",
-                            tolerance=tolerance + 0.5 / m)
-    fine = fine_grain(state, plan)
-    # the M counting terms live across (original labels | ancilla)
-    per_term = equal_amplitude_probabilities(fine, state.layout.labels)
+    _check_counts(counts, probs, tolerance + 0.5 / m,
+                  state.layout.subdim(state.layout.complement(sys_labels)))
+    terms = np.repeat(np.sqrt(probs / counts), counts)
+    per_term = _equal_weights(terms[terms > KERNEL_TOL])
     if per_term.size != m:
         raise PlanMismatch(
             f"fine-grained state has {per_term.size} terms, expected {m}"
         )
-    # aggregate the M equal counting weights blockwise per original outcome
-    agg = np.zeros(probs.size)
-    offset = 0
-    for k, mk in enumerate(counts):
-        agg[k] = per_term[offset:offset + mk].sum()
-        offset += mk
+    # sum the m_k equal counting weights of each original outcome
+    agg = np.array([per_term[:mk].sum() for mk in counts])
     gap = np.max(np.abs(agg - probs))
     if gap > tolerance + 1.0 / m:
         raise PlanMismatch(

@@ -37,7 +37,11 @@ KERNEL_TOL = 1e-12    # kernel-level algebra
 def dimension_guard() -> int:
     """Total-dimension guard, overridable via ENVLAB_DIM_GUARD."""
     raw = os.environ.get("ENVLAB_DIM_GUARD")
-    return int(raw) if raw else DEFAULT_DIM_GUARD
+    try:
+        return int(raw) if raw else DEFAULT_DIM_GUARD
+    except ValueError:
+        raise ValueError(
+            f"ENVLAB_DIM_GUARD must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)

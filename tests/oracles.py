@@ -2,9 +2,20 @@
 
 Everything here is written as explicit index loops or full Kronecker
 builds so the production code paths are checked against a second,
-structurally different computation.
+structurally different computation.  The counting oracles keep the
+one-candidate-at-a-time denominator scan and the dense fine-grained
+state that the library's structured counting path replaces.
 """
 import numpy as np
+
+from envlab import errors
+from envlab.envariance import (
+    FineGrainingPlan,
+    _pointer_order,
+    equal_amplitude_probabilities,
+    fine_grain,
+)
+from envlab.tensor_core import schmidt_decompose
 
 
 def outer_product_oracle(a, b):
@@ -133,3 +144,40 @@ def enumerate_equal_terms(state, system_dim, tol=1e-9):
             key = tuple(np.round(v, 8))
         multiplicity[key] = multiplicity.get(key, 0) + 1
     return len(cols), mags, multiplicity
+
+
+def scalar_commensurate_denominator(probs, tolerance, m_cap):
+    """One-candidate-at-a-time scan for the smallest M <= m_cap with every
+    p_k within tolerance of m_k / M and all m_k >= 1."""
+    probs = np.asarray(probs, dtype=float).ravel()
+    for m in range(probs.size, m_cap + 1):
+        counts = np.rint(probs * m).astype(int)
+        if counts.min() < 1 or counts.sum() != m:
+            continue
+        if np.max(np.abs(probs - counts / m)) <= tolerance:
+            return m, tuple(int(c) for c in counts)
+    raise errors.UseBoundsInstead(f"no denominator <= {m_cap}")
+
+
+def dense_born_probabilities(state, system, tolerance=1e-10, m_cap=10 ** 4):
+    """Counting probabilities from the explicit fine-grained state: build
+    the n*M^2 state with ``fine_grain``, read its M equal Schmidt
+    coefficients off a full SVD and sum the 1/M weights blockwise."""
+    sys_labels = state.layout.ordered(system)
+    sd = schmidt_decompose(state, sys_labels)
+    probs = sd.coefficients[: sd.rank] ** 2
+    m, counts = scalar_commensurate_denominator(probs, tolerance, m_cap)
+    plan = FineGrainingPlan(counts, sys_labels, "_anc",
+                            tolerance=tolerance + 0.5 / m)
+    fine = fine_grain(state, plan)
+    per_term = equal_amplitude_probabilities(fine, state.layout.labels)
+    if per_term.size != m:
+        raise errors.PlanMismatch(f"{per_term.size} terms, expected {m}")
+    agg = np.zeros(probs.size)
+    offset = 0
+    for k, mk in enumerate(counts):
+        agg[k] = per_term[offset:offset + mk].sum()
+        offset += mk
+    if np.max(np.abs(agg - probs)) > tolerance + 1.0 / m:
+        raise errors.PlanMismatch("counting probabilities deviate")
+    return agg[_pointer_order(sd)]

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import pathlib
+import time
 
 import numpy as np
 import pytest
@@ -95,6 +97,41 @@ class TestBorn:
         for r in t["rows"]:
             assert float(r[4]) <= 2 / int(r[0]) + 1e-12
 
+    def test_m_1000_counts_below_default_cap(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "born", "--amplitudes",
+            "0.0316227766016838,0.9994998749374609")
+        assert code == 0
+        rows = parse_tables(out)["born"]["rows"]
+        assert [r[1] for r in rows] == ["0.001", "0.999"]
+
+    def test_unequal_terms_rejected_quickly(self, capsys):
+        # the loose tolerance admits M = 8909, whose terms are unequal
+        start = time.perf_counter()
+        code, _, err = run_cli(
+            capsys, "born", "--amplitudes", "0.5774,0.8165",
+            "--tolerance", "1e-6")
+        assert time.perf_counter() - start < 2.0
+        assert code == 2
+        assert json.loads(err)["fields"]["scenario"].startswith(
+            "NotEqualAmplitude: ")
+
+    @pytest.mark.parametrize("amps, want", [
+        ("1,0", [("1", "1"), ("0", "0")]),
+        ("0,0.6,0.8", [("0", "0"), ("0.36", "0.36"), ("0.64", "0.64")]),
+    ])
+    def test_zero_amplitude_outcomes_reported(self, capsys, amps, want):
+        code, out, _ = run_cli(capsys, "born", "--amplitudes", amps)
+        assert code == 0
+        tables = parse_tables(out)
+        assert "born" not in tables
+        rows = tables["bounds"]["rows"]
+        assert [r[0] for r in rows] == [m for m in ("100", "1000", "10000")
+                                        for _ in want]
+        assert [r[1] for r in rows] == [str(k) for k in range(len(want))] * 3
+        assert [(r[2], r[3]) for r in rows] == want * 3
+        assert [r[4] for r in rows] == ["0"] * len(rows)
+
     def test_explicit_bounds_request(self, capsys):
         code, out, _ = run_cli(
             capsys, "born", "--amplitudes", "1,1", "--bounds-m", "50")
@@ -188,6 +225,34 @@ class TestPlumbing:
         assert code == 4
         assert json.loads(err)["error"] == "io"
 
+    def test_bad_dimension_guard(self, capsys, monkeypatch):
+        monkeypatch.setenv("ENVLAB_DIM_GUARD", "abc")
+        code, _, err = run_cli(capsys, "born", "--amplitudes", "1,1")
+        assert code == 2
+        assert list(json.loads(err)["fields"]) == ["ENVLAB_DIM_GUARD"]
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"amplitudes": [1, 1], "env_count": "x"}, "env_count"),
+        ({"amplitudes": "1,1"}, "amplitudes"),
+        ([1, 1], "config"),
+    ])
+    def test_mistyped_config(self, capsys, tmp_path, doc, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "redundancy", "--config", str(cfg))
+        assert code == 2
+        assert list(json.loads(err)["fields"]) == [field]
+
+    def test_failed_write_leaves_no_temp_file(self, capsys, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()         # replacing a directory by a file fails
+        code, _, err = run_cli(
+            capsys, "born", "--amplitudes", "1,1", "--out", str(target))
+        assert code == 4
+        assert json.loads(err)["error"] == "io"
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert list(target.iterdir()) == []
+
     def test_csv_reruns_byte_identical(self, capsys):
         argv = ("redundancy", "--amplitudes", "0.6,0.8", "--env-count", "5")
         _, first, _ = run_cli(capsys, *argv)
@@ -226,3 +291,24 @@ class TestPlumbing:
         assert code == 0
         assert out == ""
         assert "p_counting" in target.read_text()
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# the six README examples; tests/golden holds their reference stdout
+README_EXAMPLES = {
+    "einselect": ("einselect", "--amplitudes", "0.6,0.8"),
+    "redundancy": ("redundancy", "--amplitudes", "1,1", "--env-count", "8"),
+    "born_commensurate": ("born", "--amplitudes",
+                          "0.816496580927726,0.5773502691896258"),
+    "born_bounds": ("born", "--amplitudes", "0.54030231,0.84147098"),
+    "envariance": ("envariance", "--amplitudes", "1,1"),
+    "cascade": ("cascade", "--amplitudes", "1,1", "--env-count", "3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(README_EXAMPLES))
+def test_readme_example_matches_golden_csv(capsys, name):
+    code, out, _ = run_cli(capsys, *README_EXAMPLES[name])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.csv").read_text()

@@ -3,6 +3,7 @@ import pytest
 
 from envlab import errors
 from envlab.envariance import (
+    _SCAN_BLOCK,
     FineGrainingPlan,
     born_probabilities,
     envariant_swap,
@@ -28,7 +29,11 @@ from envlab.tensor_core import (
     states_equal_up_to_global_phase,
 )
 
-from oracles import enumerate_equal_terms
+from oracles import (
+    dense_born_probabilities,
+    enumerate_equal_terms,
+    scalar_commensurate_denominator,
+)
 
 
 def bipartite(amps_2d, labels=("S", "E")):
@@ -255,6 +260,40 @@ class TestCommensurate:
         with pytest.raises(errors.UseBoundsInstead):
             find_commensurate_denominator([p, 1 - p], 1e-12, m_cap=1000)
 
+    def test_matches_scalar_scan_on_random_spectra(self):
+        rng = np.random.default_rng(36)
+        for _ in range(40):
+            n = int(rng.integers(2, 5))
+            if rng.random() < 0.5:
+                counts = rng.integers(1, 400, size=n)
+                probs = counts / counts.sum()
+            else:
+                probs = rng.dirichlet(np.ones(n))
+            tol = float(rng.choice([1e-10, 1e-6, 1e-3]))
+            try:
+                want = scalar_commensurate_denominator(probs, tol, 3000)
+            except errors.UseBoundsInstead:
+                with pytest.raises(errors.UseBoundsInstead):
+                    find_commensurate_denominator(probs, tol, 3000)
+                continue
+            assert find_commensurate_denominator(probs, tol, 3000) == want
+
+    @pytest.mark.parametrize("m", [_SCAN_BLOCK + 1, _SCAN_BLOCK + 2,
+                                   3 * _SCAN_BLOCK + 7])
+    def test_hit_at_and_past_block_boundary(self, m):
+        # n = 2 scans from M = 2: M = BLOCK + 1 closes the first block
+        probs = np.array([1, m - 1]) / m
+        want = scalar_commensurate_denominator(probs, 1e-10, 10 ** 4)
+        assert want == (m, (1, m - 1))
+        assert find_commensurate_denominator(probs, 1e-10) == want
+
+    def test_full_miss_at_large_cap(self):
+        p = np.cos(1.0) ** 2
+        with pytest.raises(errors.UseBoundsInstead):
+            scalar_commensurate_denominator([p, 1 - p], 1e-10, 10 ** 5)
+        with pytest.raises(errors.UseBoundsInstead):
+            find_commensurate_denominator([p, 1 - p], 1e-10, m_cap=10 ** 5)
+
 
 class TestBornProbabilities:
     def test_two_thirds_one_third(self):
@@ -305,6 +344,36 @@ class TestBornProbabilities:
         amps[0, 0], amps[1, 1] = np.sqrt(p), np.sqrt(1 - p)
         with pytest.raises(errors.UseBoundsInstead):
             born_probabilities(bipartite(amps), ["S"], m_cap=200)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_equals_dense_oracle(self, n):
+        rng = np.random.default_rng(37 + n)
+        for m in range(n, 65):
+            cuts = np.sort(rng.choice(np.arange(1, m), n - 1, replace=False))
+            counts = np.diff(np.concatenate([[0], cuts, [m]]))
+            # pointer k partnered with a scrambled environment state
+            amps = np.zeros((n, m), dtype=complex)
+            amps[np.arange(n), rng.permutation(m)[:n]] = \
+                np.sqrt(counts / m) * np.exp(2j * np.pi * rng.random(n))
+            st = bipartite(amps)
+            np.testing.assert_array_equal(
+                born_probabilities(st, ["S"], m_cap=64),
+                dense_born_probabilities(st, ["S"], m_cap=64))
+
+    @pytest.mark.parametrize("probs, env_dim, tol, error", [
+        # counts fit within the loose tolerance, coefficients differ
+        ([1 / 3 + 1e-7, 2 / 3 - 1e-7], 3, 1e-6, errors.NotEqualAmplitude),
+        # M = 3 record states do not fit a 2-dimensional environment
+        ([1 / 3, 2 / 3], 2, 1e-10, errors.PlanMismatch),
+    ])
+    def test_same_errors_as_dense_oracle(self, probs, env_dim, tol, error):
+        amps = np.zeros((2, env_dim))
+        amps[0, 0], amps[1, 1] = np.sqrt(probs)
+        st = bipartite(amps)
+        with pytest.raises(error):
+            dense_born_probabilities(st, ["S"], tol)
+        with pytest.raises(error):
+            born_probabilities(st, ["S"], tol)
 
 
 class TestRationalBounds:
