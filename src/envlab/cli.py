@@ -350,14 +350,6 @@ def emit_report(result: RunResult, fmt: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 # argument handling
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.replace(",", " ").split()]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="envlab",
@@ -368,41 +360,52 @@ def build_parser() -> argparse.ArgumentParser:
     for kind in SCENARIOS:
         p = sub.add_parser(kind)
         p.add_argument("--config", help="JSON config document")
-        p.add_argument("--amplitudes", type=_parse_float_list,
+        p.add_argument("--amplitudes",
                        help="comma- or space-separated branch amplitudes")
-        p.add_argument("--env-count", type=int, default=None)
-        p.add_argument("--overlap", type=float, default=None)
-        p.add_argument("--m-cap", type=int, default=None)
-        p.add_argument("--tolerance", type=float, default=None)
-        p.add_argument("--bounds-m", type=_parse_int_list, default=None,
-                       help="denominators for interval bounding")
-        p.add_argument("--out", default=None, help="output path ('-' = stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--env-count")
+        p.add_argument("--overlap")
+        p.add_argument("--m-cap")
+        p.add_argument("--tolerance")
+        p.add_argument("--bounds-m", help="denominators for interval bounding")
+        p.add_argument("--out", help="output path ('-' = stdout)")
+        p.add_argument("--format", help="csv or json")
     return parser
 
 
-def _typed(kinds, what, cast=None):
-    """Converter that accepts only JSON values of the given Python types."""
-    def convert(value):
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise TypeError(f"must be {what}")
-        return cast(value) if cast else value
-    return convert
-
-
-def _list_of(item):
-    return _typed(list, "a list", lambda v: [item(x) for x in v])
-
-
-_INTEGER = _typed(int, "an integer")
-_NUMBER = _typed((int, float), "a number", float)
-_STRING = _typed(str, "a string")
-
-# typed converters of the fields a flag or the config document may set;
+# per field a flag or the config document may set: (item type, is a list);
 # fields left unset take ScenarioConfig's defaults
-_FIELDS = {"amplitudes": _list_of(_NUMBER), "env_count": _INTEGER,
-           "overlap": _NUMBER, "m_cap": _INTEGER, "tolerance": _NUMBER,
-           "bounds_m": _list_of(_INTEGER), "out": _STRING, "format": _STRING}
+_FIELDS = {"amplitudes": (float, True), "env_count": (int, False),
+           "overlap": (float, False), "m_cap": (int, False),
+           "tolerance": (float, False), "bounds_m": (int, True),
+           "out": (str, False), "format": (str, False)}
+
+# item type -> (JSON value types it accepts, description)
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string")}
+
+
+def _convert(key: str, value, from_flag: bool):
+    """Field value from flag text or from a JSON config value."""
+    kind, is_list = _FIELDS[key]
+    accepted, what = _JSON_TYPES[kind]
+
+    def item(x):
+        if from_flag:
+            try:
+                return kind(x)
+            except ValueError:
+                raise TypeError(f"must be {what}") from None
+        if isinstance(x, bool) or not isinstance(x, accepted):
+            raise TypeError(f"must be {what}")
+        return kind(x)
+
+    if not is_list:
+        return item(value)
+    if from_flag:
+        value = value.replace(",", " ").split()
+    elif not isinstance(value, list):
+        raise TypeError("must be a list")
+    return [item(x) for x in value]
 
 
 def config_from_args(args) -> ScenarioConfig:
@@ -418,13 +421,13 @@ def config_from_args(args) -> ScenarioConfig:
         if not isinstance(doc, dict):
             raise ValidationFailure({"config": "must be a JSON object"})
     fields, bad = {}, {}
-    for key, convert in _FIELDS.items():
+    for key in _FIELDS:
         flag = getattr(args, key)
         value = flag if flag is not None else doc.get(key)
         if value is None:
             continue
         try:
-            fields[key] = convert(value)
+            fields[key] = _convert(key, value, flag is not None)
         except (TypeError, OverflowError) as exc:
             bad[key] = f"{exc}, got {value!r}"
     if "amplitudes" not in fields and "amplitudes" not in bad:

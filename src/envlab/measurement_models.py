@@ -76,30 +76,28 @@ class ObserverOutcomeTable:
     defined: np.ndarray
 
 
-def _assert_ready(state: PureState, label: str, what: str) -> None:
-    """The target subsystem must factor out as its |0> basis state."""
-    rho = partial_trace(state, [label]).matrix
-    d = rho.shape[0]
-    expect = np.zeros((d, d))
-    expect[0, 0] = 1.0
-    if np.max(np.abs(rho - expect)) > STATE_TOL:
-        raise ApparatusNotReady(f"{what} {label!r} is not in its ready state")
-
-
-def _assert_capacity(state: PureState, source: str, target: str) -> None:
-    ds, dt = state.layout.dim(source), state.layout.dim(target)
+def _check_target(state: PureState, source: str, target: str,
+                  what: str) -> None:
+    """``target`` is at least as large as ``source`` and ready: with the
+    amplitudes viewed as (before, d_target, after), the part off its |0>
+    slice has norm at most STATE_TOL."""
+    layout = state.layout
+    ds, dt = layout.dim(source), layout.dim(target)
     if dt < ds:
         raise DimensionMismatch(
             f"target {target!r} (dim {dt}) smaller than source {source!r} "
             f"(dim {ds})"
         )
+    before = layout.subdim(layout.labels[:layout.index(target)])
+    view = state.amplitudes.reshape(before, dt, -1)
+    if np.linalg.norm(view[:, 1:, :]) > STATE_TOL:
+        raise ApparatusNotReady(f"{what} {target!r} is not in its ready state")
 
 
 def _copy_record(state: PureState, source: str, target: str,
                  what: str) -> PureState:
     """Controlled shift of ``source`` onto a large-enough, ready ``target``."""
-    _assert_capacity(state, source, target)
-    _assert_ready(state, target, what)
+    _check_target(state, source, target, what)
     return controlled_shift(state, source, target)
 
 
@@ -161,8 +159,7 @@ def broadcast_environment(state: PureState, pointer: str, environments,
         if overlap == 0.0:
             out = _copy_record(out, pointer, env, "environment")
         else:
-            _assert_capacity(out, pointer, env)
-            _assert_ready(out, env, "environment")
+            _check_target(out, pointer, env, "environment")
             de = out.layout.dim(env)
             recs = record_states(dp, de, overlap)
             blocks = [_preparation_unitary(recs[k]) for k in range(dp)]

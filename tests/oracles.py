@@ -4,7 +4,8 @@ Everything here is written as explicit index loops or full Kronecker
 builds so the production code paths are checked against a second,
 structurally different computation.  The counting oracles keep the
 one-candidate-at-a-time denominator scan and the dense fine-grained
-state that the library's structured counting path replaces.
+state that the library's structured counting path replaces.  The
+comparison-state builder realizes the endpoints of the rational bounds.
 """
 import numpy as np
 
@@ -181,3 +182,27 @@ def dense_born_probabilities(state, system, tolerance=1e-10, m_cap=10 ** 4):
     if np.max(np.abs(agg - probs)) > tolerance + 1.0 / m:
         raise errors.PlanMismatch("counting probabilities deviate")
     return agg[_pointer_order(sd)]
+
+
+def endpoint_counts(pinned, k, probs, m):
+    """Count vector over M with outcome k pinned to ``pinned`` and the
+    remaining M - pinned spread over the other outcomes by largest
+    remainder (evenly when they all have zero weight)."""
+    probs = np.asarray(probs, dtype=float)
+    n = probs.size
+    counts = np.zeros(n, dtype=int)
+    counts[k] = pinned
+    others = [i for i in range(n) if i != k]
+    if not others:
+        return counts
+    rest = m - pinned
+    weights = probs[others]
+    total = weights.sum()
+    shares = weights / total * rest if total > 0 else \
+        np.full(len(others), rest / len(others))
+    base = np.floor(shares).astype(int)
+    by_remainder = np.argsort(-(shares - base), kind="stable")
+    for i in range(int(rest - base.sum())):
+        base[by_remainder[i % len(others)]] += 1
+    counts[others] = base
+    return counts

@@ -132,6 +132,14 @@ class TestBorn:
         assert [(r[2], r[3]) for r in rows] == want * 3
         assert [r[4] for r in rows] == ["0"] * len(rows)
 
+    def test_bounds_denominator_beyond_dimension_guard(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "born", "--amplitudes", "0.54030231,0.84147098",
+            "--bounds-m", "1000000")
+        assert code == 0
+        rows = parse_tables(out)["bounds"]["rows"]
+        assert [(r[0], r[4]) for r in rows] == [("1000000", "1e-06")] * 2
+
     def test_explicit_bounds_request(self, capsys):
         code, out, _ = run_cli(
             capsys, "born", "--amplitudes", "1,1", "--bounds-m", "50")
@@ -189,6 +197,29 @@ class TestPlumbing:
         assert code == 2
         assert json.loads(err)["fields"] == {
             "amplitudes": "amplitudes must be finite"}
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--amplitudes", "abc", "amplitudes"),
+        ("--env-count", "x", "env_count"),
+        ("--overlap", "x", "overlap"),
+        ("--m-cap", "1.5", "m_cap"),
+        ("--tolerance", "1e-", "tolerance"),
+        ("--bounds-m", "10,a", "bounds_m"),
+        ("--format", "xml", "format"),
+    ])
+    def test_bad_flag_value(self, capsys, flag, value, field):
+        code, _, err = run_cli(
+            capsys, "born", "--amplitudes", "1,1", flag, value)
+        assert code == 2
+        doc = json.loads(err)
+        assert doc["error"] == "validation"
+        assert list(doc["fields"]) == [field]
+
+    def test_one_token_negative_amplitudes(self, capsys):
+        code, out, _ = run_cli(capsys, "einselect", "--amplitudes=-0.6,0.8")
+        assert code == 0
+        pops = [float(r[1]) for r in parse_tables(out)["einselect"]["rows"]]
+        np.testing.assert_allclose(pops, [0.36, 0.64], atol=1e-9)
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tolerance(self, capsys, tol):

@@ -19,18 +19,21 @@ from envlab.envariance import (
     subset_probability,
 )
 from envlab.tensor_core import (
+    KERNEL_TOL,
     PureState,
     SpaceLayout,
     SubsystemUnitary,
     apply_unitary,
     partial_trace,
     schmidt_decompose,
+    schmidt_state,
     single_state,
     states_equal_up_to_global_phase,
 )
 
 from oracles import (
     dense_born_probabilities,
+    endpoint_counts,
     enumerate_equal_terms,
     scalar_commensurate_denominator,
 )
@@ -400,6 +403,42 @@ class TestRationalBounds:
     def test_m_too_small(self):
         with pytest.raises(errors.MTooSmall):
             rational_bounds(bipartite(np.eye(3)), ["S"], 2)
+
+    @pytest.mark.parametrize("diag", [
+        [1 + 5e-11, 0],
+        [np.sqrt(1 + 1e-10 - 1e-13), np.sqrt(1e-13)],
+    ])
+    def test_norm_just_above_one_stays_in_unit_interval(self, diag):
+        # unnormalized on purpose: PureState accepts a norm within STATE_TOL
+        st = PureState(SpaceLayout([("S", 2), ("E", 2)]),
+                       np.diag(diag).ravel())
+        bound = rational_bounds(st, ["S"], 10 ** 4)
+        assert np.all(0 <= bound.lower)
+        assert np.all(bound.lower <= bound.upper)
+        assert np.all(bound.upper <= 1)
+
+    def test_endpoints_realized_by_comparison_states(self):
+        rng = np.random.default_rng(20030816)
+        for _ in range(30):
+            n = int(rng.integers(2, 5))
+            probs = rng.dirichlet(np.ones(n))
+            m = int(np.exp(rng.uniform(np.log(n), np.log(10 ** 4 + 1))))
+            bound = rational_bounds(bipartite(np.diag(np.sqrt(probs))),
+                                    ["S"], m)
+            assert np.all(bound.lower <= probs + 1e-12)
+            assert np.all(probs <= bound.upper + 1e-12)
+            assert np.max(bound.widths) <= 2 / m + 1e-12
+            for k in range(n):
+                for end in (bound.lower[k], bound.upper[k]):
+                    pinned = int(round(end * m))
+                    counts = endpoint_counts(pinned, k, probs, m)
+                    assert counts[k] == pinned
+                    assert counts.min() >= 0 and counts.sum() == m
+                    comparison = schmidt_state(np.sqrt(counts / m), m)
+                    coeffs = schmidt_decompose(comparison, ["S"]).coefficients
+                    np.testing.assert_allclose(
+                        coeffs ** 2, np.sort(counts / m)[::-1],
+                        rtol=0, atol=KERNEL_TOL)
 
 
 class TestPhaseWitness:

@@ -20,6 +20,7 @@ from envlab.measurement_models import (
     record_states,
 )
 from envlab.tensor_core import (
+    PureState,
     SpaceLayout,
     basis_state,
     partial_trace,
@@ -213,6 +214,33 @@ class TestObserver:
         # memory never interacted: every defined row repeats the prior
         np.testing.assert_allclose(table.conditional[0], [0.5, 0.5],
                                    atol=1e-12)
+
+
+class TestReadiness:
+    """A target is ready when the part of the state off its |0> slice has
+    norm at most STATE_TOL."""
+
+    @staticmethod
+    def _state(amps):
+        return PureState(SpaceLayout([("S", 2), ("A", 2)]), amps)
+
+    def _off_ready(self, eps=1e-8):
+        # target leaves |0> only in a branch orthogonal on S as well
+        return self._state([np.sqrt(1 - eps ** 2), 0, 0, eps])
+
+    def test_small_orthogonal_off_ready_part_rejected(self):
+        with pytest.raises(errors.ApparatusNotReady):
+            premeasure(self._off_ready(), "S", "A")
+        with pytest.raises(errors.ApparatusNotReady):
+            broadcast_environment(self._off_ready(), "S", ["A"], overlap=0.3)
+
+    def test_ready_target_accepted_at_norm_edge(self):
+        st = self._state((1 + 8e-11) * np.array([0.6, 0, 0.8, 0]))
+        out = premeasure(st, "S", "A")
+        np.testing.assert_allclose(out.amplitudes,
+                                   (1 + 8e-11) * np.array([0.6, 0, 0, 0.8]),
+                                   rtol=0, atol=1e-15)
+        broadcast_environment(st, "S", ["A"], overlap=0.3)
 
 
 class TestBranchSpec:
