@@ -3,6 +3,7 @@ record redundancy and the envariance route to outcome probabilities."""
 
 from .errors import EnvLabError
 from .tensor_core import (
+    BranchState,
     DensityOperator,
     PureState,
     SchmidtDecomposition,
@@ -11,9 +12,11 @@ from .tensor_core import (
     apply_unitary,
     attach_ready,
     basis_state,
+    branch_density,
     controlled_shift,
     load_state,
     partial_trace,
+    reduced_spectrum,
     relative_states,
     save_state,
     schmidt_decompose,
@@ -34,6 +37,7 @@ from .info_measures import (
 from .measurement_models import (
     BranchSpec,
     ObserverOutcomeTable,
+    branch_records,
     broadcast_environment,
     build_branch_state,
     cascade_environment,

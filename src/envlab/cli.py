@@ -37,6 +37,7 @@ from .info_measures import (
 )
 from .measurement_models import (
     BranchSpec,
+    branch_records,
     build_branch_state,
     cascade_environment,
 )
@@ -44,8 +45,8 @@ from .tensor_core import (
     KERNEL_TOL,
     SubsystemUnitary,
     attach_ready,
+    branch_density,
     dimension_guard,
-    partial_trace,
     schmidt_decompose,
     schmidt_state,
 )
@@ -139,9 +140,9 @@ def _run_einselect(cfg: ScenarioConfig) -> tuple[dict, dict]:
     amps = cfg.unit_amplitudes()
     d = amps.size
     spec = BranchSpec("S", d, amps, cfg.overlap)
-    state = build_branch_state(spec, apparatus="A", environments=["E"])
-    rho_sa = partial_trace(state, ["S", "A"])
-    mat = rho_sa.matrix
+    state = branch_records(spec, apparatus="A", environments=["E"])
+    # rho_SA vanishes off the branch kets |k>_S|k>_A
+    mat = branch_density(state, ["S", "A"])
     offdiag = float(np.max(np.abs(mat - np.diag(np.diag(mat)))))
     mi = mutual_information(state, FragmentSpec(("S", "A"), ("E",)))
     rows = [[k, float(abs(amps[k]) ** 2), offdiag, mi] for k in range(d)]
@@ -159,7 +160,7 @@ def _run_redundancy(cfg: ScenarioConfig) -> tuple[dict, dict]:
     d = amps.size
     spec = BranchSpec("S", d, amps, cfg.overlap)
     envs = [f"E{i + 1}" for i in range(cfg.env_count)]
-    state = build_branch_state(spec, apparatus="A", environments=envs)
+    state = branch_records(spec, apparatus="A", environments=envs)
     report = redundancy_report(state, ("S",), [(e,) for e in envs])
     rows = [[i, mi, cum, ratio] for i, mi, cum, ratio in report.rows()]
     tables = {"redundancy": {
@@ -350,8 +351,30 @@ def emit_report(result: RunResult, fmt: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 # argument handling
 
+class _Parser(argparse.ArgumentParser):
+    """Command-line errors are validation failures, reported as the same
+    field-level JSON as a bad flag value.  argparse words them as
+    "argument NAME: DETAIL" or "the following arguments are required:
+    NAME, ..."; anything else falls under the field "arguments"."""
+
+    def error(self, message):
+        required = "the following arguments are required: "
+        if message.startswith(required):
+            names = message[len(required):].split(", ")
+            raise ValidationFailure({_field(n): "required" for n in names})
+        if message.startswith("argument ") and ": " in message:
+            name, detail = message[len("argument "):].split(": ", 1)
+            raise ValidationFailure({_field(name): detail})
+        raise ValidationFailure({"arguments": message})
+
+
+def _field(name: str) -> str:
+    """Config field of an argparse argument name: --env-count -> env_count."""
+    return name.lstrip("-").replace("-", "_")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="envlab",
         description="Deterministic decoherence / record-redundancy / "
                     "counting-probability experiment runner.",
@@ -445,9 +468,8 @@ def _fail(code: int, doc: dict) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = config_from_args(args)
         result = run_scenario(cfg)
     except ValidationFailure as exc:

@@ -3,6 +3,8 @@
 
 All entropies are von Neumann, base-2 logarithm, in bits.  Eigenvalues
 at or below ``KERNEL_TOL`` are dropped when evaluating x*log2(x).
+Mutual information and redundancy accept a dense ``PureState`` or a
+``BranchState``, whose reduced spectra come from its record Gram matrices.
 """
 from __future__ import annotations
 
@@ -13,9 +15,11 @@ import numpy as np
 from .errors import OverlappingSplit, UndefinedRatio
 from .tensor_core import (
     KERNEL_TOL,
+    BranchState,
     DensityOperator,
     PureState,
     partial_trace,
+    reduced_spectrum,
     relative_states,
 )
 
@@ -57,32 +61,44 @@ class RedundancyReport:
         return out
 
 
+def _entropy_bits(eigs: np.ndarray) -> float:
+    """-sum x log2 x over the eigenvalues above KERNEL_TOL, >= 0."""
+    p = eigs[eigs > KERNEL_TOL]
+    return max(0.0, float(-(p * np.log2(p)).sum()))
+
+
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """-sum p log2 p over the eigenvalues of rho, in bits."""
-    eigs = rho.eigenvalues()
-    p = eigs[eigs > KERNEL_TOL]
-    h = float(-(p * np.log2(p)).sum())
-    return max(0.0, h)
+    return _entropy_bits(rho.eigenvalues())
 
 
-def mutual_information(state: PureState, split: FragmentSpec) -> float:
+def _entropy(state: PureState | BranchState, labels) -> float:
+    """Entropy of the reduced state on ``labels``, in bits."""
+    if isinstance(state, BranchState):
+        return _entropy_bits(reduced_spectrum(state, labels))
+    return von_neumann_entropy(partial_trace(state, labels))
+
+
+def mutual_information(state: PureState | BranchState,
+                       split: FragmentSpec) -> float:
     """I(S:F) = H(S) + H(F) - H(S,F) in bits, clamped to >= 0."""
     state.layout.check_labels(split.system_labels)
     state.layout.check_labels(split.fragment_labels)
-    hs = von_neumann_entropy(partial_trace(state, split.system_labels))
+    hs = _entropy(state, split.system_labels)
     return _mutual_information(state, split.system_labels,
                                split.fragment_labels, hs)
 
 
-def _mutual_information(state: PureState, system: tuple, fragment: tuple,
-                        hs: float) -> float:
+def _mutual_information(state: PureState | BranchState, system: tuple,
+                        fragment: tuple, hs: float) -> float:
     """I(S:F) given H(S) = ``hs``, clamped to >= 0."""
-    hf = von_neumann_entropy(partial_trace(state, fragment))
-    hsf = von_neumann_entropy(partial_trace(state, system + fragment))
+    hf = _entropy(state, fragment)
+    hsf = _entropy(state, system + fragment)
     return max(0.0, hs + hf - hsf)
 
 
-def redundancy_report(state: PureState, system, fragments) -> RedundancyReport:
+def redundancy_report(state: PureState | BranchState, system,
+                      fragments) -> RedundancyReport:
     """Summed fragment MI and the redundancy ratio I_total / H(S)."""
     system = tuple(system) if not isinstance(system, str) else (system,)
     frag_sets = [tuple(f) if not isinstance(f, str) else (f,)
@@ -92,7 +108,7 @@ def redundancy_report(state: PureState, system, fragments) -> RedundancyReport:
         if claimed & set(f):
             raise OverlappingSplit(f"fragment {f} overlaps earlier labels")
         claimed |= set(f)
-    hs = von_neumann_entropy(partial_trace(state, system))
+    hs = _entropy(state, system)
     if hs <= KERNEL_TOL:
         raise UndefinedRatio("system entropy is zero; ratio undefined")
     mis = tuple(_mutual_information(state, system, f, hs) for f in frag_sets)
@@ -112,7 +128,7 @@ def basis_conditioned_mutual_information(
     """
     state.layout.check_labels(split.system_labels)
     state.layout.check_labels(split.fragment_labels)
-    hs = von_neumann_entropy(partial_trace(state, split.system_labels))
+    hs = _entropy(state, split.system_labels)
     avg = 0.0
     for coeff, partner in relative_states(state, split.fragment_labels,
                                           fragment_basis):

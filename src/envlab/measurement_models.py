@@ -24,7 +24,9 @@ from .errors import (
 from .tensor_core import (
     KERNEL_TOL,
     STATE_TOL,
+    BranchState,
     PureState,
+    SpaceLayout,
     SubsystemUnitary,
     apply_unitary,
     attach_ready,
@@ -230,3 +232,24 @@ def build_branch_state(spec: BranchSpec, apparatus: str | None = None,
         out = broadcast_environment(out, pointer, environments,
                                     spec.record_overlap)
     return out
+
+
+def branch_records(spec: BranchSpec, apparatus: str | None = None,
+                   environments=()) -> BranchState:
+    """The state ``build_branch_state`` builds, as its branch structure.
+
+    The system and the apparatus hold the pointer value itself (Gram =
+    identity); each environment holds the ``record_states`` kets at the
+    spec's overlap, so its Gram is R R^T.  The layout is the same nominal
+    space, so the dimension guard applies to its full dimension.
+    """
+    d = spec.pointer_dimension
+    environments = list(environments)
+    perfect = [spec.system_label] + ([apparatus] if apparatus is not None
+                                     else [])
+    layout = SpaceLayout([(l, d) for l in perfect + environments])
+    recs = record_states(d, d, spec.record_overlap)
+    env_gram = recs @ recs.T
+    np.fill_diagonal(env_gram, 1.0)     # the records are unit vectors
+    grams = [np.eye(d)] * len(perfect) + [env_gram] * len(environments)
+    return BranchState(layout, spec.amplitudes, grams)

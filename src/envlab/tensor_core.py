@@ -1,4 +1,5 @@
-"""Dense multi-partite pure states and reduced density operators.
+"""Multi-partite pure states, dense or branch-structured, and reduced
+density operators.
 
 Index convention: the leftmost label of a layout is the slowest-varying
 index of the flat amplitude vector (row-major / C order), so a state over
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,11 +71,11 @@ class SpaceLayout:
                 f"{dimension_guard()}"
             )
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(l for l, _ in self.subsystems)
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.subsystems)
 
@@ -144,6 +146,44 @@ class PureState:
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per subsystem (layout order)."""
         return self.amplitudes.reshape(self.layout.dims or (1,))
+
+
+@dataclass(frozen=True, eq=False)
+class BranchState:
+    """Pure state sum_k a_k |k>_S (x)_j |e_j^k>, kept as its branch structure.
+
+    The first label S carries the pointer basis; every label j (S too)
+    holds one ket per branch, known through the Gram matrix
+    ``G_j[k, l] = <e_j^k|e_j^l>``: the identity for a perfect record,
+    and so for S.  ``layout`` is the nominal space, so building it applies
+    the dimension guard, but no amplitude vector over it is ever formed.
+    """
+
+    layout: SpaceLayout
+    amplitudes: np.ndarray   # a_k, one per branch
+    grams: np.ndarray        # (labels, n, n): G_j in layout order
+
+    def __init__(self, layout: SpaceLayout, amplitudes, grams):
+        amps = _freeze(np.asarray(amplitudes).ravel())
+        n = amps.size
+        g = np.array(grams)
+        if g.shape != (len(layout.labels), n, n):
+            raise ValueError(f"grams shape {g.shape} != "
+                             f"({len(layout.labels)}, {n}, {n})")
+        nrm = np.linalg.norm(amps)
+        if abs(nrm - 1.0) > STATE_TOL:
+            raise NotNormalized(f"norm {nrm} differs from 1 beyond {STATE_TOL}")
+        if np.max(np.abs(g[0] - np.eye(n))) > STATE_TOL:
+            raise InvalidDensity("the pointer label's Gram is not the identity")
+        if np.max(np.abs(g - g.conj().transpose(0, 2, 1))) > STATE_TOL \
+                or np.max(np.abs(np.diagonal(g, axis1=1, axis2=2) - 1.0)) \
+                > STATE_TOL \
+                or np.linalg.eigvalsh(g).min() < -STATE_TOL:
+            raise InvalidDensity("a Gram matrix is not one of unit vectors")
+        g.flags.writeable = False
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "grams", g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,6 +389,49 @@ def partial_trace(state, keep) -> DensityOperator:
         return DensityOperator(layout.restrict(keep_ordered),
                                t.reshape(dk, dk))
     raise TypeError(f"unsupported input type {type(state)!r}")
+
+
+def branch_density(state: BranchState, labels) -> np.ndarray:
+    """Reduced state on ``labels``, which hold the pointer label, as the
+    n x n matrix over its branch kets (x)_{j in labels} |e_j^k>.
+
+    Those kets are orthonormal, since the pointer's are; entry (k, l) is
+    a_k a_l* times the product of G_j[l, k] over the labels traced out.
+    """
+    if isinstance(labels, str):
+        labels = [labels]
+    layout = state.layout
+    keep = layout.ordered(labels)
+    if layout.labels[0] not in keep:
+        raise InvalidBipartition(
+            f"keep set {keep} lacks the pointer label {layout.labels[0]!r}")
+    traced = [layout.index(l) for l in layout.complement(keep)]
+    g = state.grams[traced].prod(axis=0)
+    a = state.amplitudes
+    return np.outer(a, a.conj()) * g.T
+
+
+def reduced_spectrum(state: BranchState, labels) -> np.ndarray:
+    """Ascending eigenvalues of the reduced state on ``labels``.
+
+    The two sides of a pure state share their nonzero spectrum, so the
+    side holding the pointer label is the one reduced: its
+    ``branch_density`` has the spectrum of sqrt(p) (G_j1 * G_j2 * ...)
+    sqrt(p), the Hadamard product running over the labels j of the
+    other side.  The whole state is pure; its spectrum is the single
+    eigenvalue 1.
+    """
+    if isinstance(labels, str):
+        labels = [labels]
+    if not labels:
+        raise EmptyKeepSet("keep set must be non-empty")
+    layout = state.layout
+    keep = layout.ordered(labels)
+    if layout.labels[0] not in keep:
+        keep = layout.complement(keep)
+    if len(keep) == len(layout.labels):
+        return np.ones(1)
+    return np.linalg.eigvalsh(branch_density(state, keep))
 
 
 def _leading_index(columns: np.ndarray) -> np.ndarray:

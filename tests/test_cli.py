@@ -249,6 +249,46 @@ class TestPlumbing:
         assert code == 3
         assert json.loads(err)["error"] == "dimension_guard"
 
+    @pytest.mark.parametrize("amps, n_env, code, dim", [
+        ("1,1", 18, 0, None),
+        ("1,1", 19, 3, 2 ** 21),
+        ("1,1,1", 10, 0, None),
+        ("1,1,1", 12, 3, 3 ** 14),
+    ])
+    def test_redundancy_guard_on_nominal_dimension(
+            self, capsys, monkeypatch, amps, n_env, code, dim):
+        monkeypatch.delenv("ENVLAB_DIM_GUARD", raising=False)
+        got, out, err = run_cli(capsys, "redundancy", "--amplitudes", amps,
+                                "--env-count", str(n_env), "--overlap", "0.3")
+        assert got == code
+        if dim is None:
+            assert len(parse_tables(out)["redundancy"]["rows"]) == n_env
+        else:
+            assert json.loads(err) == {
+                "error": "dimension_guard",
+                "detail": f"total dimension {dim} exceeds guard {2 ** 20}"}
+
+    @pytest.mark.parametrize("argv, field", [
+        (("born", "--amplitudes", "-0.5,0.8"), "amplitudes"),
+        (("born", "--amplitudes", "1,1", "--bogus", "3"), "arguments"),
+        ((), "kind"),
+        (("nosuch", "--amplitudes", "1,1"), "kind"),
+    ])
+    def test_malformed_command_line(self, capsys, argv, field):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "validation"
+        assert list(doc["fields"]) == [field]
+
+    @pytest.mark.parametrize("argv", [("-h",), ("born", "-h")])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: envlab")
+
     def test_io_failure_exit_code(self, capsys, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "out.csv"
         code, _, err = run_cli(
@@ -341,5 +381,23 @@ README_EXAMPLES = {
 @pytest.mark.parametrize("name", sorted(README_EXAMPLES))
 def test_readme_example_matches_golden_csv(capsys, name):
     code, out, _ = run_cli(capsys, *README_EXAMPLES[name])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.csv").read_text()
+
+
+# nonzero record overlap, where each fragment holds less than H(S)
+OVERLAP_EXAMPLES = {
+    "redundancy_overlap_0.3": ("redundancy", "--amplitudes", "0.6,-0.8",
+                               "--env-count", "6", "--overlap", "0.3"),
+    "redundancy_overlap_0.9": ("redundancy", "--amplitudes", "0.5,0.6,0.62",
+                               "--env-count", "5", "--overlap", "0.9"),
+    "einselect_overlap_0.9": ("einselect", "--amplitudes", "0.3,0.4,0.5,0.7",
+                              "--overlap", "0.9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERLAP_EXAMPLES))
+def test_overlap_example_matches_golden_csv(capsys, name):
+    code, out, _ = run_cli(capsys, *OVERLAP_EXAMPLES[name])
     assert code == 0
     assert out == (GOLDEN / f"{name}.csv").read_text()
