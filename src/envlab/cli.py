@@ -21,12 +21,10 @@ import numpy as np
 from . import errors
 from .envariance import (
     DEFAULT_M_CAP,
-    born_probabilities,
-    find_commensurate_denominator,
+    bound_spectrum,
+    count_spectrum,
     is_envariant,
-    rational_bounds,
     schmidt_phase_unitary,
-    schmidt_probabilities,
     schmidt_swap_unitary,
 )
 from .info_measures import (
@@ -175,40 +173,29 @@ def _run_redundancy(cfg: ScenarioConfig) -> tuple[dict, dict]:
 
 
 def _run_born(cfg: ScenarioConfig) -> tuple[dict, dict]:
-    amps = cfg.unit_amplitudes()
-    probs = np.abs(amps) ** 2
-    tables = {}
-    residuals = {}
+    # the amplitudes are Schmidt coefficients in pointer order already; the
+    # fine-graining environment needs room for M <= m_cap records
+    probs = np.abs(cfg.unit_amplitudes()) ** 2
+    tables, residuals, bounds_m = {}, {}, cfg.bounds_m
     try:
-        m, _counts = find_commensurate_denominator(
-            probs, cfg.tolerance, cfg.m_cap
-        )
+        counted = count_spectrum(probs, cfg.tolerance, cfg.m_cap, cfg.m_cap)
     except errors.UseBoundsInstead:
-        m = None
-    if m is not None:
-        state = schmidt_state(amps, m)
-        counted = born_probabilities(state, ("S",), cfg.tolerance, cfg.m_cap)
-        squared = schmidt_probabilities(state, ("S",))
-        rows = [[k, counted[k], squared[k], abs(counted[k] - squared[k])]
-                for k in range(counted.size)]
+        bounds_m = bounds_m or [100, 1000, 10000]
+    else:
+        rows = [[k, counted[k], probs[k], abs(counted[k] - probs[k])]
+                for k in range(probs.size)]
         tables["born"] = {
             "columns": ["outcome_index", "p_counting",
                         "p_amplitude_squared", "abs_gap"],
             "rows": rows,
         }
-        residuals["max_abs_gap"] = float(np.max(np.abs(counted - squared)))
-    bounds_m = cfg.bounds_m or ([] if m is not None else [100, 1000, 10000])
+        residuals["max_abs_gap"] = float(np.max(np.abs(counted - probs)))
     if bounds_m:
-        # zero-amplitude outcomes have no Schmidt term; they count 0 of M
-        support = np.flatnonzero(np.abs(amps) > KERNEL_TOL)
-        state = schmidt_state(amps[support], support.size)
         rows = []
         for bm in bounds_m:
-            bound = rational_bounds(state, ("S",), bm)
-            lower, upper = np.zeros(amps.size), np.zeros(amps.size)
-            lower[support], upper[support] = bound.lower, bound.upper
-            rows += [[bm, k, lower[k], upper[k], upper[k] - lower[k]]
-                     for k in range(amps.size)]
+            bound = bound_spectrum(probs, bm)
+            rows += [[bm, k, bound.lower[k], bound.upper[k], bound.widths[k]]
+                     for k in range(probs.size)]
         tables["bounds"] = {
             "columns": ["m_used", "outcome_index", "lower", "upper", "width"],
             "rows": rows,

@@ -314,23 +314,16 @@ def find_commensurate_denominator(probs, tolerance: float,
     )
 
 
-def born_probabilities(state: PureState, system, tolerance: float = 1e-10,
-                       m_cap: int = DEFAULT_M_CAP) -> np.ndarray:
-    """Outcome probabilities by fine-graining and counting equal terms.
-
-    ``fine_grain`` splits Schmidt term k into m_k triple products of
-    coefficient sqrt(p_k / m_k); those M coefficients are checked here
-    without building the n*M^2 state.  Returns p_k = m_k / M per Schmidt
-    term, ordered by each system Schmidt vector's first significant basis
-    index (so pointer-basis states come back in pointer order).  Agreement
-    with the squared coefficients within tolerance + 1/M is asserted.
-    """
-    sys_labels = state.layout.ordered(system)
-    sd = schmidt_decompose(state, sys_labels)
-    probs = sd.coefficients[: sd.rank] ** 2
+def count_spectrum(probs, tolerance: float, m_cap: int,
+                   env_dim: int) -> np.ndarray:
+    """p_k = m_k / M for a spectrum, in its order, from one denominator
+    scan.  What ``fine_grain`` would build is certified without building
+    it: the counts fit, ``env_dim`` holds M records, the M coefficients
+    sqrt(p_k / m_k) are equal, and the counting weights match the
+    spectrum within tolerance + 1/M."""
+    probs = np.asarray(probs, dtype=float).ravel()
     m, counts = find_commensurate_denominator(probs, tolerance, m_cap)
-    _check_counts(counts, probs, tolerance + 0.5 / m,
-                  state.layout.subdim(state.layout.complement(sys_labels)))
+    _check_counts(counts, probs, tolerance + 0.5 / m, env_dim)
     terms = np.repeat(np.sqrt(probs / counts), counts)
     per_term = _equal_weights(terms[terms > KERNEL_TOL])
     if per_term.size != m:
@@ -344,8 +337,37 @@ def born_probabilities(state: PureState, system, tolerance: float = 1e-10,
         raise PlanMismatch(
             f"counting probabilities deviate by {gap} from the spectrum"
         )
-    order = _pointer_order(sd)
-    return agg[order]
+    return agg
+
+
+def bound_spectrum(probs, m: int) -> ProbabilityBound:
+    """Intervals [floor(pM)/M, ceil(pM)/M] per outcome, in the spectrum's
+    order, with counts clipped to [0, M] (a spectrum may sum to just above
+    1).  Each endpoint is realized by a commensurate comparison state (the
+    tests build them), so widths never exceed 2/M.  An outcome of
+    amplitude at most KERNEL_TOL has no Schmidt term: it gets [0, 0] and
+    does not count against M."""
+    probs = np.asarray(probs, dtype=float).ravel()
+    present = np.sqrt(probs) > KERNEL_TOL
+    n = int(np.count_nonzero(present))
+    if m < n:
+        raise MTooSmall(f"M = {m} below the number of outcomes {n}")
+    scaled = np.where(present, probs * m, 0.0)
+    lower_counts = np.clip(np.floor(scaled + 1e-9).astype(int), 0, m)
+    upper_counts = np.clip(np.ceil(scaled - 1e-9).astype(int), 0, m)
+    return ProbabilityBound(lower=lower_counts / m, upper=upper_counts / m,
+                            m_used=m)
+
+
+def born_probabilities(state: PureState, system, tolerance: float = 1e-10,
+                       m_cap: int = DEFAULT_M_CAP) -> np.ndarray:
+    """Outcome probabilities by fine-graining and counting equal terms:
+    ``count_spectrum`` of the squared Schmidt coefficients, in pointer
+    order (see ``schmidt_probabilities``)."""
+    sys_labels = state.layout.ordered(system)
+    env_dim = state.layout.subdim(state.layout.complement(sys_labels))
+    return count_spectrum(schmidt_probabilities(state, sys_labels),
+                          tolerance, m_cap, env_dim)
 
 
 def _pointer_order(sd: SchmidtDecomposition) -> np.ndarray:
@@ -355,37 +377,17 @@ def _pointer_order(sd: SchmidtDecomposition) -> np.ndarray:
 
 
 def schmidt_probabilities(state: PureState, system) -> np.ndarray:
-    """Squared Schmidt coefficients in the same order born_probabilities
-    uses (the amplitude-squared side of the comparison)."""
+    """Squared Schmidt coefficients in pointer order: by each system
+    Schmidt vector's leading basis index."""
     sd = schmidt_decompose(state, state.layout.ordered(system))
     probs = sd.coefficients[: sd.rank] ** 2
     return probs[_pointer_order(sd)]
 
 
 def rational_bounds(state: PureState, system, m: int) -> ProbabilityBound:
-    """Bracketing intervals [floor(pM)/M, ceil(pM)/M] per outcome.
-
-    Each endpoint is a count in [0, M], so a commensurate comparison state
-    with that outcome pinned to it and the remaining counts spread over
-    the other outcomes always exists (the tests build and check them);
-    widths never exceed 2/M.  Counts are clipped to [0, M], which matters
-    only for a state whose norm sits within STATE_TOL above 1.
-    """
-    sys_labels = state.layout.ordered(system)
-    sd = schmidt_decompose(state, sys_labels)
-    probs = sd.coefficients[: sd.rank] ** 2
-    n = probs.size
-    if m < n:
-        raise MTooSmall(f"M = {m} below the number of outcomes {n}")
-    scaled = probs * m
-    lower_counts = np.clip(np.floor(scaled + 1e-9).astype(int), 0, m)
-    upper_counts = np.clip(np.ceil(scaled - 1e-9).astype(int), 0, m)
-    order = _pointer_order(sd)
-    return ProbabilityBound(
-        lower=(lower_counts / m)[order],
-        upper=(upper_counts / m)[order],
-        m_used=m,
-    )
+    """``bound_spectrum`` of the squared Schmidt coefficients, in pointer
+    order (see ``schmidt_probabilities``)."""
+    return bound_spectrum(schmidt_probabilities(state, system), m)
 
 
 # ---------------------------------------------------------------------------

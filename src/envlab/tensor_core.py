@@ -10,6 +10,7 @@ rely on it.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -81,7 +82,7 @@ class SpaceLayout:
 
     @property
     def total_dimension(self) -> int:
-        return int(np.prod(self.dims, dtype=np.int64)) if self.subsystems else 1
+        return math.prod(self.dims)      # exact: int64 would wrap past 2^63
 
     def index(self, label: str) -> int:
         try:
@@ -108,8 +109,7 @@ class SpaceLayout:
         return SpaceLayout([(l, self.dim(l)) for l in keep])
 
     def subdim(self, labels) -> int:
-        return int(np.prod([self.dim(l) for l in labels], dtype=np.int64)) \
-            if labels else 1
+        return math.prod(self.dim(l) for l in labels)
 
     def complement(self, labels) -> tuple[str, ...]:
         """The layout's labels not in ``labels``, in layout order."""

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from envlab import cli, envariance
 from envlab.cli import main
 
 
@@ -140,6 +141,37 @@ class TestBorn:
         rows = parse_tables(out)["bounds"]["rows"]
         assert [(r[0], r[4]) for r in rows] == [("1000000", "1e-06")] * 2
 
+    @pytest.mark.parametrize("argv, golden", [
+        (("born", "--amplitudes", "0.816496580927726,0.5773502691896258"),
+         "born_commensurate"),
+        (("born", "--amplitudes", "0.54030231,0.84147098"), "born_bounds"),
+        (("born", "--amplitudes=0,0.6,0.8", "--bounds-m", "2,3,7"), None),
+        (("born", "--amplitudes=1,1", "--bounds-m", "4"), None),
+    ])
+    def test_one_scan_and_no_schmidt_decomposition(self, capsys, monkeypatch,
+                                                   argv, golden):
+        # CLI amplitudes are Schmidt coefficients already: counting and
+        # bounding read |a_k|^2 after a single denominator scan
+        def refuse(*args, **kwargs):
+            raise AssertionError("born built or decomposed a Schmidt state")
+
+        scan = envariance.find_commensurate_denominator
+        scans = []
+
+        def counted_scan(*args, **kwargs):
+            scans.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(envariance, "schmidt_decompose", refuse)
+        monkeypatch.setattr(cli, "schmidt_state", refuse)
+        monkeypatch.setattr(envariance, "find_commensurate_denominator",
+                            counted_scan)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(scans) == 1
+        if golden is not None:
+            assert out == (GOLDEN / f"{golden}.csv").read_text()
+
     def test_explicit_bounds_request(self, capsys):
         code, out, _ = run_cli(
             capsys, "born", "--amplitudes", "1,1", "--bounds-m", "50")
@@ -254,6 +286,11 @@ class TestPlumbing:
         ("1,1", 19, 3, 2 ** 21),
         ("1,1,1", 10, 0, None),
         ("1,1,1", 12, 3, 3 ** 14),
+        # from 2^63 on, an int64 product would wrap below the guard
+        ("1,1", 61, 3, 2 ** 63),
+        ("1,1", 62, 3, 2 ** 64),
+        pytest.param("1,1", 1000, 3, 2 ** 1002, id="1,1-1000-3-2^1002"),
+        ("1,1,1", 38, 3, 3 ** 40),
     ])
     def test_redundancy_guard_on_nominal_dimension(
             self, capsys, monkeypatch, amps, n_env, code, dim):

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from envlab import errors
 from envlab.envariance import (
     _SCAN_BLOCK,
+    DEFAULT_M_CAP,
     FineGrainingPlan,
     born_probabilities,
+    bound_spectrum,
+    count_spectrum,
     envariant_swap,
     equal_amplitude_probabilities,
     find_commensurate_denominator,
@@ -439,6 +443,91 @@ class TestRationalBounds:
                     np.testing.assert_allclose(
                         coeffs ** 2, np.sort(counts / m)[::-1],
                         rtol=0, atol=KERNEL_TOL)
+
+
+def scrambled_state(probs, env_dim, seed):
+    """sum_k sqrt(p_k) e^{i phi_k} |k>_S |pi(k)>_E with random phases and
+    a random injection pi into the environment basis; returns the state
+    and its spectrum |a_k|^2 in pointer order."""
+    rng = np.random.default_rng(seed)
+    n = len(probs)
+    amps = np.zeros((n, env_dim), dtype=complex)
+    amps[np.arange(n), rng.permutation(env_dim)[:n]] = \
+        np.sqrt(probs) * np.exp(2j * np.pi * rng.random(n))
+    state = bipartite(amps)
+    mat = state.amplitudes.reshape(n, env_dim)
+    return state, np.sum(np.abs(mat) ** 2, axis=1)
+
+
+@st.composite
+def count_vectors(draw):
+    """(counts, M): 2 to 5 counts, each >= 1, summing to M <= 2000."""
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(n, 2000))
+    cuts = sorted(draw(st.lists(st.integers(1, m - 1), min_size=n - 1,
+                                max_size=n - 1, unique=True)))
+    return np.diff(np.concatenate([[0], cuts, [m]])), m
+
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+class TestSpectrumKernels:
+    """The library wrappers decompose once and call the spectrum kernels
+    the CLI calls on |a_k|^2; both must agree with the paper's identities
+    (p_k = m_k/M from counting, bounds bracketing p with width <= 2/M)."""
+
+    @settings(derandomize=True, max_examples=50, deadline=2000,
+              database=None)
+    @given(count_vectors(), SEEDS)
+    def test_counting_equals_counts_over_m(self, drawn, seed):
+        counts, m = drawn
+        state, probs = scrambled_state(counts / m, m, seed)
+        counted = born_probabilities(state, ["S"])
+        np.testing.assert_array_equal(
+            counted, count_spectrum(probs, 1e-10, DEFAULT_M_CAP, m))
+        np.testing.assert_allclose(counted, counts / m, rtol=0, atol=1e-12)
+
+    @settings(derandomize=True, max_examples=50, deadline=2000,
+              database=None)
+    @given(st.integers(2, 5), st.integers(2, 10 ** 4), SEEDS)
+    def test_bounds_bracket_with_width_at_most_two_over_m(self, n, m, seed):
+        m = max(m, n)
+        truth = np.random.default_rng(seed).dirichlet(np.ones(n))
+        state, probs = scrambled_state(truth, n + 3, seed)
+        bound = rational_bounds(state, ["S"], m)
+        want = bound_spectrum(probs, m)
+        np.testing.assert_array_equal(bound.lower, want.lower)
+        np.testing.assert_array_equal(bound.upper, want.upper)
+        assert bound.m_used == want.m_used == m
+        assert np.all(bound.lower <= truth + 1e-12)
+        assert np.all(truth <= bound.upper + 1e-12)
+        assert np.max(bound.widths) <= 2 / m + 1e-12
+
+    @settings(derandomize=True, max_examples=50, deadline=10000,
+              database=None)
+    @given(st.integers(65, 200), SEEDS)
+    def test_two_outcomes_equal_dense_oracle_beyond_grid(self, m, seed):
+        m1 = int(np.random.default_rng(seed).integers(1, m))
+        state, _ = scrambled_state(np.array([m1, m - m1]) / m, m, seed)
+        np.testing.assert_array_equal(
+            born_probabilities(state, ["S"], m_cap=200),
+            dense_born_probabilities(state, ["S"], m_cap=200))
+
+    def test_zero_outcome_bounded_at_zero_and_not_counted(self):
+        # amplitudes 0 and 1e-13 have no Schmidt term, even at a huge M
+        bound = bound_spectrum([0.0, 0.36, 1e-26, 0.64], 2)
+        np.testing.assert_array_equal(bound.lower, [0, 0, 0, 0.5])
+        np.testing.assert_array_equal(bound.upper, [0, 0.5, 0, 1])
+        bound = bound_spectrum([1e-26, 1.0], 10 ** 18)
+        np.testing.assert_array_equal(bound.upper, [0, 1])
+        with pytest.raises(errors.MTooSmall):
+            bound_spectrum([0.0, 0.36, 0.64], 1)
+
+    def test_zero_outcome_has_no_count(self):
+        with pytest.raises(errors.UseBoundsInstead):
+            count_spectrum([0.0, 0.36, 0.64], 1e-10, DEFAULT_M_CAP,
+                           DEFAULT_M_CAP)
 
 
 class TestPhaseWitness:
