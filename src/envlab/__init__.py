@@ -13,6 +13,7 @@ from .tensor_core import (
     attach_ready,
     basis_state,
     branch_density,
+    branch_outcomes,
     controlled_shift,
     load_state,
     partial_trace,

@@ -3,8 +3,9 @@
 
 All entropies are von Neumann, base-2 logarithm, in bits.  Eigenvalues
 at or below ``KERNEL_TOL`` are dropped when evaluating x*log2(x).
-Mutual information and redundancy accept a dense ``PureState`` or a
-``BranchState``, whose reduced spectra come from its record Gram matrices.
+Mutual information, redundancy and basis-conditioned information accept
+a dense ``PureState`` or a ``BranchState``, whose reduced states come
+from its record kets and their Gram matrices.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from .tensor_core import (
     BranchState,
     DensityOperator,
     PureState,
+    branch_outcomes,
     partial_trace,
     reduced_spectrum,
     relative_states,
@@ -117,26 +119,33 @@ def redundancy_report(state: PureState | BranchState, system,
 
 
 def basis_conditioned_mutual_information(
-    state: PureState, split: FragmentSpec, fragment_basis
+    state: PureState | BranchState, split: FragmentSpec, fragment_basis
 ) -> float:
     """H(S) minus the average post-measurement entropy of S.
 
     The fragment is projected onto each basis vector; the conditional
     state of the system is the renormalized remainder traced down to the
-    system labels.  Outcomes with probability below ``KERNEL_TOL`` are
-    skipped.
+    system labels (for a ``BranchState``, ``branch_outcomes``, so the
+    system must hold the pointer label).  Outcomes with probability below
+    ``KERNEL_TOL`` are skipped.
     """
     state.layout.check_labels(split.system_labels)
     state.layout.check_labels(split.fragment_labels)
     hs = _entropy(state, split.system_labels)
+    if isinstance(state, BranchState):
+        outcomes = branch_outcomes(state, split.system_labels,
+                                   split.fragment_labels, fragment_basis)
+    else:
+        outcomes = [abs(c) ** 2 * partial_trace(partner,
+                                                split.system_labels).matrix
+                    for c, partner in relative_states(
+                        state, split.fragment_labels, fragment_basis)
+                    if partner is not None]
     avg = 0.0
-    for coeff, partner in relative_states(state, split.fragment_labels,
-                                          fragment_basis):
-        p = abs(coeff) ** 2
-        if p < KERNEL_TOL or partner is None:
-            continue
-        rho_cond = partial_trace(partner, split.system_labels)
-        avg += p * von_neumann_entropy(rho_cond)
+    for rho in outcomes:        # unnormalized, trace p_b
+        p = np.trace(rho).real
+        if p >= KERNEL_TOL:
+            avg += p * _entropy_bits(np.linalg.eigvalsh(rho / p))
     return max(0.0, hs - avg)
 
 

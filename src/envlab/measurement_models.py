@@ -2,8 +2,9 @@
 entanglement, N-fold broadcast, distant-environment cascade, and observer
 records with conditional probabilities.
 
-Conventions: "ready" states are the index-0 basis states, and the
-controlled shift acts as |k>|j> -> |k>|j + k mod d>.  Imperfect records at
+Conventions: "ready" states are the index-0 basis states, and every
+record is written by one map, |k>|0> -> |k>|e_k>: a perfect record
+(the controlled shift on a ready target) has e_k = |k>, and records at
 overlap c are built by the chain  e_0 = |0>,  e_k = c*e_{k-1} +
 sqrt(1-c^2)|k>,  so adjacent records have real inner product c and c = 0
 recovers orthonormal basis records.
@@ -27,10 +28,8 @@ from .tensor_core import (
     BranchState,
     PureState,
     SpaceLayout,
-    SubsystemUnitary,
-    apply_unitary,
+    _moved,
     attach_ready,
-    controlled_shift,
     partial_trace,
     relative_states,
     single_state,
@@ -78,40 +77,35 @@ class ObserverOutcomeTable:
     defined: np.ndarray
 
 
-def _check_target(state: PureState, source: str, target: str,
-                  what: str) -> None:
-    """``target`` is at least as large as ``source`` and ready: with the
-    amplitudes viewed as (before, d_target, after), the part off its |0>
-    slice has norm at most STATE_TOL."""
-    layout = state.layout
-    ds, dt = layout.dim(source), layout.dim(target)
-    if dt < ds:
-        raise DimensionMismatch(
-            f"target {target!r} (dim {dt}) smaller than source {source!r} "
-            f"(dim {ds})"
-        )
-    before = layout.subdim(layout.labels[:layout.index(target)])
-    view = state.amplitudes.reshape(before, dt, -1)
+def _write_record(state: PureState, source: str, target: str, what: str,
+                  overlap: float = 0.0) -> PureState:
+    """Branch k of ``source`` writes row k of ``record_states`` into a
+    large-enough, ready ``target``: |k>|0> -> |k>|e_k>.
+
+    At overlap 0 the rows are the basis kets, so this is the controlled
+    shift |k>|0> -> |k>|k>.  Ready means that, with the amplitudes viewed
+    as (source, target, rest), the part off the target's |0> slice has
+    norm at most STATE_TOL.
+    """
+    ds, dt = state.layout.dim(source), state.layout.dim(target)
+    recs = record_states(ds, dt, overlap)   # checks that dt >= ds
+    arr, perm = _moved(state, [source, target])
+    view = arr.reshape(ds, dt, -1)
     if np.linalg.norm(view[:, 1:, :]) > STATE_TOL:
         raise ApparatusNotReady(f"{what} {target!r} is not in its ready state")
-
-
-def _copy_record(state: PureState, source: str, target: str,
-                 what: str) -> PureState:
-    """Controlled shift of ``source`` onto a large-enough, ready ``target``."""
-    _check_target(state, source, target, what)
-    return controlled_shift(state, source, target)
+    out = (recs[:, :, np.newaxis] * view[:, :1, :]).reshape(arr.shape)
+    return PureState(state.layout, out.transpose(np.argsort(perm)).ravel())
 
 
 def premeasure(state: PureState, system: str, apparatus: str) -> PureState:
     """Controlled shift |s_k>|A_0> -> |s_k>|A_k> (pre-measurement)."""
-    return _copy_record(state, system, apparatus, "apparatus")
+    return _write_record(state, system, apparatus, "apparatus")
 
 
 def entangle_environment(state: PureState, pointer: str,
                          environment: str) -> PureState:
     """Controlled shift from the pointer onto a fresh environment."""
-    return _copy_record(state, pointer, environment, "environment")
+    return _write_record(state, pointer, environment, "environment")
 
 
 def record_states(n_branches: int, env_dim: int, overlap: float) -> np.ndarray:
@@ -120,8 +114,7 @@ def record_states(n_branches: int, env_dim: int, overlap: float) -> np.ndarray:
         raise BadOverlap(f"overlap {overlap} outside [0, 1]")
     if env_dim < n_branches:
         raise DimensionMismatch(
-            f"environment dimension {env_dim} < {n_branches} branches"
-        )
+            f"record dimension {env_dim} < {n_branches} branches")
     recs = np.zeros((n_branches, env_dim))
     recs[0, 0] = 1.0
     s = np.sqrt(max(0.0, 1.0 - overlap ** 2))
@@ -131,44 +124,16 @@ def record_states(n_branches: int, env_dim: int, overlap: float) -> np.ndarray:
     return recs
 
 
-def _preparation_unitary(vec: np.ndarray) -> np.ndarray:
-    """Real Householder reflection mapping |0> to the given real vector."""
-    d = vec.size
-    e0 = np.zeros(d)
-    e0[0] = 1.0
-    v = e0 - vec
-    nv = np.linalg.norm(v)
-    if nv < 1e-14:
-        return np.eye(d)
-    v = v / nv
-    return np.eye(d) - 2.0 * np.outer(v, v)
-
-
 def broadcast_environment(state: PureState, pointer: str, environments,
                           overlap: float = 0.0) -> PureState:
-    """Imprint the pointer onto each environment subsystem.
-
-    With overlap 0 each environment holds a perfect orthonormal record
-    (plain controlled shift); otherwise records at the given adjacent
-    overlap are prepared conditionally on the pointer value.
-    """
+    """Imprint the pointer onto each environment subsystem: branch k
+    writes the record e_k at the given adjacent overlap (0 = perfect
+    orthonormal records, the plain controlled shift)."""
     if not 0.0 <= overlap <= 1.0:
         raise BadOverlap(f"overlap {overlap} outside [0, 1]")
-    environments = list(environments)
     out = state
-    dp = state.layout.dim(pointer)
     for env in environments:
-        if overlap == 0.0:
-            out = _copy_record(out, pointer, env, "environment")
-        else:
-            _check_target(out, pointer, env, "environment")
-            de = out.layout.dim(env)
-            recs = record_states(dp, de, overlap)
-            blocks = [_preparation_unitary(recs[k]) for k in range(dp)]
-            u = np.zeros((dp * de, dp * de), dtype=complex)
-            for k in range(dp):
-                u[k * de:(k + 1) * de, k * de:(k + 1) * de] = blocks[k]
-            out = apply_unitary(out, SubsystemUnitary((pointer, env), u))
+        out = _write_record(out, pointer, env, "environment", overlap)
     return out
 
 
@@ -182,13 +147,13 @@ def cascade_environment(state: PureState, immediate, distant) -> PureState:
         )
     out = state
     for src, dst in zip(immediate, distant):
-        out = _copy_record(out, src, dst, "distant environment")
+        out = _write_record(out, src, dst, "distant environment")
     return out
 
 
 def observer_record(state: PureState, system: str, memory: str) -> PureState:
     """Copy the system's pointer index onto the observer's memory."""
-    return _copy_record(state, system, memory, "memory")
+    return _write_record(state, system, memory, "memory")
 
 
 def conditional_probability(state: PureState, memory: str,
@@ -228,20 +193,18 @@ def build_branch_state(spec: BranchSpec, apparatus: str | None = None,
     environments = list(environments)
     for env in environments:
         out = attach_ready(out, env, d)
-    if environments:
-        out = broadcast_environment(out, pointer, environments,
-                                    spec.record_overlap)
-    return out
+    return broadcast_environment(out, pointer, environments,
+                                 spec.record_overlap)
 
 
 def branch_records(spec: BranchSpec, apparatus: str | None = None,
                    environments=()) -> BranchState:
     """The state ``build_branch_state`` builds, as its branch structure.
 
-    The system and the apparatus hold the pointer value itself (Gram =
+    The system and the apparatus hold the pointer value itself (kets =
     identity); each environment holds the ``record_states`` kets at the
-    spec's overlap, so its Gram is R R^T.  The layout is the same nominal
-    space, so the dimension guard applies to its full dimension.
+    spec's overlap.  The layout is the same nominal space, so the
+    dimension guard applies to its full dimension.
     """
     d = spec.pointer_dimension
     environments = list(environments)
@@ -249,7 +212,5 @@ def branch_records(spec: BranchSpec, apparatus: str | None = None,
                                      else [])
     layout = SpaceLayout([(l, d) for l in perfect + environments])
     recs = record_states(d, d, spec.record_overlap)
-    env_gram = recs @ recs.T
-    np.fill_diagonal(env_gram, 1.0)     # the records are unit vectors
-    grams = [np.eye(d)] * len(perfect) + [env_gram] * len(environments)
-    return BranchState(layout, spec.amplitudes, grams)
+    kets = [np.eye(d)] * len(perfect) + [recs] * len(environments)
+    return BranchState(layout, spec.amplitudes, kets)

@@ -152,37 +152,41 @@ class PureState:
 class BranchState:
     """Pure state sum_k a_k |k>_S (x)_j |e_j^k>, kept as its branch structure.
 
-    The first label S carries the pointer basis; every label j (S too)
-    holds one ket per branch, known through the Gram matrix
-    ``G_j[k, l] = <e_j^k|e_j^l>``: the identity for a perfect record,
-    and so for S.  ``layout`` is the nominal space, so building it applies
-    the dimension guard, but no amplitude vector over it is ever formed.
+    The first label S carries the pointer basis; label j (S too) holds
+    one ket per branch, |e_j^k> as row k of ``kets[j]`` (n x d_j): the
+    identity for S and for a perfect record.  ``grams[j]`` is their Gram
+    matrix ``G_j[k, l] = <e_j^k|e_j^l>``, its unit diagonal set exactly.
+    ``layout`` is the nominal space, so building it applies the dimension
+    guard, but no amplitude vector over it is ever formed.
     """
 
     layout: SpaceLayout
     amplitudes: np.ndarray   # a_k, one per branch
+    kets: tuple              # per label in layout order, its (n, d_j) table
     grams: np.ndarray        # (labels, n, n): G_j in layout order
 
-    def __init__(self, layout: SpaceLayout, amplitudes, grams):
+    def __init__(self, layout: SpaceLayout, amplitudes, kets):
         amps = _freeze(np.asarray(amplitudes).ravel())
         n = amps.size
-        g = np.array(grams)
-        if g.shape != (len(layout.labels), n, n):
-            raise ValueError(f"grams shape {g.shape} != "
-                             f"({len(layout.labels)}, {n}, {n})")
+        # copies, in float unless complex
+        tables = tuple(np.asarray(r) * 1.0 for r in kets)
+        if [r.shape for r in tables] != [(n, d) for d in layout.dims]:
+            raise ValueError(f"record ket tables {[r.shape for r in tables]}"
+                             f" != ({n}, d_j) for dims {layout.dims}")
         nrm = np.linalg.norm(amps)
         if abs(nrm - 1.0) > STATE_TOL:
             raise NotNormalized(f"norm {nrm} differs from 1 beyond {STATE_TOL}")
-        if np.max(np.abs(g[0] - np.eye(n))) > STATE_TOL:
-            raise InvalidDensity("the pointer label's Gram is not the identity")
-        if np.max(np.abs(g - g.conj().transpose(0, 2, 1))) > STATE_TOL \
-                or np.max(np.abs(np.diagonal(g, axis1=1, axis2=2) - 1.0)) \
-                > STATE_TOL \
-                or np.linalg.eigvalsh(g).min() < -STATE_TOL:
-            raise InvalidDensity("a Gram matrix is not one of unit vectors")
-        g.flags.writeable = False
+        if np.max(np.abs(tables[0] - np.eye(*tables[0].shape))) > STATE_TOL:
+            raise InvalidDensity("the pointer label's kets are not the identity")
+        g = np.array([r @ r.conj().T for r in tables])
+        if np.max(np.abs(np.diagonal(g, axis1=1, axis2=2) - 1.0)) > STATE_TOL:
+            raise InvalidDensity("a record ket is not a unit vector")
+        g[:, np.arange(n), np.arange(n)] = 1.0
+        for a in tables + (g,):
+            a.flags.writeable = False
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "kets", tables)
         object.__setattr__(self, "grams", g)
 
 
@@ -434,6 +438,27 @@ def reduced_spectrum(state: BranchState, labels) -> np.ndarray:
     return np.linalg.eigvalsh(branch_density(state, keep))
 
 
+def branch_outcomes(state: BranchState, system, fragment,
+                    basis) -> np.ndarray:
+    """Per vector B_b of a ``basis`` of ``fragment``, the unnormalized
+    reduced state of ``system`` (which must hold the pointer label) after
+    the outcome b: ``branch_density(state, system + fragment) * w w^H``
+    with w = B_b^* R_F^T, row k of R_F being the Kronecker product of the
+    fragment labels' kets k in layout order."""
+    layout = state.layout
+    system, fragment = layout.ordered(system), layout.ordered(fragment)
+    if layout.labels[0] not in system:
+        raise InvalidBipartition(
+            f"system {system} lacks the pointer label {layout.labels[0]!r}")
+    joint = branch_density(state, system + fragment)
+    frag = np.ones((state.amplitudes.size, 1))
+    for label in fragment:
+        frag = np.einsum("ki,kj->kij", frag, state.kets[layout.index(label)]
+                         ).reshape(len(frag), -1)
+    w = _basis_rows(basis, frag.shape[1]).conj() @ frag.T
+    return joint * (w[:, :, np.newaxis] * w[:, np.newaxis, :].conj())
+
+
 def _leading_index(columns: np.ndarray) -> np.ndarray:
     """Per column, the row of the first entry above KERNEL_TOL in
     magnitude; the row count for a column with no such entry."""
@@ -496,6 +521,17 @@ def schmidt_reconstruct(sd: SchmidtDecomposition,
     return PureState(layout, arr.transpose(perm).ravel())
 
 
+def _basis_rows(basis, dim: int) -> np.ndarray:
+    """The basis vectors as the rows of a matrix, checked to be ``dim``
+    orthonormal vectors of dimension ``dim``."""
+    bmat = np.asarray([np.asarray(b, dtype=complex).ravel() for b in basis])
+    if bmat.shape != (dim, dim):
+        raise BadBasis(f"need {dim} vectors of dimension {dim}")
+    if np.max(np.abs(bmat.conj() @ bmat.T - np.eye(dim))) > STATE_TOL:
+        raise BadBasis("vectors are not orthonormal within tolerance")
+    return bmat
+
+
 def relative_states(state: PureState, left, basis):
     """Expand |psi> = sum_k b_k |basis_k>|partner_k> over a left basis.
 
@@ -509,13 +545,7 @@ def relative_states(state: PureState, left, basis):
     right_ordered = state.layout.complement(left_ordered)
     if not right_ordered:
         raise InvalidBipartition("left side covers the whole layout")
-    dl = state.layout.subdim(left_ordered)
-    bmat = np.asarray([np.asarray(b, dtype=complex).ravel() for b in basis])
-    if bmat.shape != (dl, dl):
-        raise BadBasis(f"need {dl} vectors of dimension {dl}")
-    gram = bmat.conj() @ bmat.T
-    if np.max(np.abs(gram - np.eye(dl))) > STATE_TOL:
-        raise BadBasis("vectors are not orthonormal within tolerance")
+    bmat = _basis_rows(basis, state.layout.subdim(left_ordered))
     mat = matricize(state, left_ordered)
     right_layout = state.layout.restrict(right_ordered)
     out = []

@@ -1,10 +1,14 @@
 """The branch-structured path against the dense one it replaces.
 
 ``branch_records`` keeps the state build_branch_state builds as pointer
-amplitudes plus one record Gram matrix per label; every entropy, mutual
-information, redundancy ratio and rho_SA coherence read from it must
-match the dense state reduced by ``partial_trace`` within 1e-10.
+amplitudes plus one table of record kets per label; every entropy,
+mutual information, redundancy ratio, rho_SA coherence and
+basis-conditioned information read from it must match the dense state
+reduced by ``partial_trace`` (or measured by ``relative_states``)
+within 1e-10.
 """
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +17,7 @@ from envlab import errors
 from envlab.info_measures import (
     FragmentSpec,
     _entropy,
+    basis_conditioned_mutual_information,
     mutual_information,
     redundancy_report,
 )
@@ -20,9 +25,11 @@ from envlab.measurement_models import (
     BranchSpec,
     branch_records,
     build_branch_state,
+    record_states,
 )
 from envlab.tensor_core import (
     BranchState,
+    PureState,
     SpaceLayout,
     branch_density,
     partial_trace,
@@ -77,6 +84,23 @@ def assert_paths_agree(amps, n_env, overlap):
     coherence = branch_density(branch, ["S", "A"])
     assert abs(np.max(np.abs(coherence - np.diag(np.diag(coherence))))
                - np.max(np.abs(rho - np.diag(np.diag(rho))))) <= TOL
+    pair = tuple(envs[:2]) if len(envs) > 1 else ("A", envs[0])
+    for fragment in [(envs[0],), pair]:
+        split = FragmentSpec(("S",), fragment)
+        mi = mutual_information(branch, split)
+        for basis in fragment_bases(len(amps) ** len(fragment)):
+            got = basis_conditioned_mutual_information(branch, split, basis)
+            want = basis_conditioned_mutual_information(dense, split, basis)
+            assert abs(got - want) <= TOL
+            assert 0.0 <= got <= mi + TOL
+
+
+def fragment_bases(dim):
+    """Pointer, Fourier and a seeded random orthonormal basis (rows)."""
+    r = np.arange(dim)
+    gauss = np.random.default_rng(dim).normal(size=(dim, dim, 2)) @ [1, 1j]
+    return [np.eye(dim), np.exp(2j * np.pi * np.outer(r, r) / dim)
+            / np.sqrt(dim), np.linalg.qr(gauss)[0].T]
 
 
 def unit(v):
@@ -153,3 +177,61 @@ def test_branch_state_rejects_non_records(amps, grams, error):
     layout = SpaceLayout([("S", 2), ("E", 2)])
     with pytest.raises(error):
         BranchState(layout, amps, grams)
+
+
+def test_general_kets_match_the_dense_state():
+    """Complex kets of any dimension: the branch kernels against the dense
+    vector sum_k a_k (x)_j |e_j^k>."""
+    rng = np.random.default_rng(7)
+    layout = SpaceLayout([("S", 3), ("E1", 3), ("E2", 2), ("E3", 4)])
+    amps = unit(rng.normal(size=3) + 1j * rng.normal(size=3))
+    kets = [np.eye(3)]
+    for d in layout.dims[1:]:
+        r = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
+        kets.append(r / np.linalg.norm(r, axis=1, keepdims=True))
+    branch = BranchState(layout, amps, kets)
+    dense = PureState(layout, sum(a * reduce(np.kron, [r[k] for r in kets])
+                                  for k, a in enumerate(amps)))
+    for labels in [("S",), ("E1",), ("E2", "E3"), ("S", "E2")]:
+        want = dense_spectrum(dense, labels)
+        got = reduced_spectrum(branch, labels)[::-1][:want.size]
+        np.testing.assert_allclose(got, want[:got.size], rtol=0, atol=TOL)
+    for fragment in [("E1",), ("E1", "E2"), ("E3", "E2")]:
+        split = FragmentSpec(("S",), fragment)
+        assert abs(mutual_information(branch, split)
+                   - mutual_information(dense, split)) <= TOL
+        for basis in fragment_bases(layout.subdim(fragment)):
+            assert abs(
+                basis_conditioned_mutual_information(branch, split, basis)
+                - basis_conditioned_mutual_information(dense, split, basis)
+            ) <= TOL
+
+
+def test_basis_conditioned_needs_the_pointer_label_in_the_system():
+    branch, _, envs = both_paths(unit([0.6, 0.8]), 2, 0.3)
+    for system, fragment in [(("A",), (envs[0],)), ((envs[0],), ("S",))]:
+        with pytest.raises(errors.InvalidBipartition):
+            basis_conditioned_mutual_information(
+                branch, FragmentSpec(system, fragment), np.eye(2))
+
+
+def test_grams_are_derived_from_the_kets():
+    branch = branch_records(BranchSpec("S", 3, unit([1, 2, 3]), 0.3), "A",
+                            ["E1", "E2"])
+    recs = record_states(3, 3, 0.3)
+    env_gram = recs @ recs.T
+    np.fill_diagonal(env_gram, 1.0)
+    assert branch.grams.dtype == float
+    np.testing.assert_array_equal(branch.grams,
+                                  [np.eye(3), np.eye(3), env_gram, env_gram])
+    np.testing.assert_array_equal(branch.kets[2], recs)
+    # complex kets: a Hermitian Gram with an exactly unit diagonal
+    kets = recs * np.exp(1j * np.array([[0.3], [1.1], [-2.0]]))
+    state = BranchState(SpaceLayout([("S", 3), ("E", 3)]), unit([1, 1, 1]),
+                        [np.eye(3), kets])
+    np.testing.assert_allclose(state.grams[1], kets @ kets.conj().T,
+                               rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(np.diagonal(state.grams[1]), 1.0)
+    with pytest.raises(ValueError):         # kets of the wrong dimension
+        BranchState(SpaceLayout([("S", 3), ("E", 4)]), unit([1, 1, 1]),
+                    [np.eye(3), kets])

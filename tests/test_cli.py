@@ -2,13 +2,23 @@ import csv
 import io
 import json
 import pathlib
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from envlab import cli, envariance
+from envlab import cli, envariance, tensor_core
 from envlab.cli import main
+from envlab.info_measures import (
+    FragmentSpec,
+    basis_conditioned_mutual_information,
+)
+from envlab.measurement_models import (
+    BranchSpec,
+    build_branch_state,
+    cascade_environment,
+)
 
 
 def run_cli(capsys, *argv):
@@ -211,6 +221,54 @@ class TestCascade:
         for r in t["rows"]:
             assert abs(float(r[1]) - 1.0) < 1e-9
             assert float(r[2]) < 1e-9
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("d, n_env", [(2, n) for n in range(7)]
+                             + [(3, n) for n in range(5)])
+    def test_matches_dense_oracle(self, d, n_env, kind):
+        amps = {(2, "real"): [0.6, -0.8], (2, "complex"): [0.5, 0.3 - 0.7j],
+                (3, "real"): [0.5, -0.6, 0.62],
+                (3, "complex"): [0.4j, 0.5 + 0.2j, -0.7]}[d, kind]
+        cfg = cli.ScenarioConfig("cascade", amps, env_count=n_env)
+        got = cli.run_scenario(cfg).tables["cascade"]["rows"]
+        # the dense state: E_i's records c-shifted onto ready F_i
+        immediate = [f"E{i + 1}" for i in range(n_env)]
+        distant = [f"F{i + 1}" for i in range(n_env)]
+        state = build_branch_state(
+            BranchSpec("S", d, cfg.unit_amplitudes()), None, immediate)
+        for label in distant:
+            state = tensor_core.attach_ready(state, label, d)
+        state = cascade_environment(state, immediate, distant)
+        r = np.arange(d)
+        fourier = np.exp(2j * np.pi * np.outer(r, r) / d) / np.sqrt(d)
+        want = [[i] + [basis_conditioned_mutual_information(
+                    state, FragmentSpec(("S",), (label,)), basis)
+                    for basis in (np.eye(d), fourier)]
+                for i, label in enumerate(distant)]
+        assert len(got) == n_env
+        np.testing.assert_allclose(np.reshape(got, (-1, 3)),
+                                   np.reshape(want, (-1, 3)),
+                                   rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("amps, n_env, code, dim", [
+        ("1,1", 9, 0, None),
+        ("1,1", 10, 3, 2 ** 21),
+        ("1,1", 11, 3, 2 ** 23),
+        ("1,1,1", 5, 0, None),
+        ("1,1,1", 6, 3, 3 ** 13),
+    ])
+    def test_guard_on_nominal_dimension(self, capsys, monkeypatch, amps,
+                                        n_env, code, dim):
+        monkeypatch.delenv("ENVLAB_DIM_GUARD", raising=False)
+        got, out, err = run_cli(capsys, "cascade", "--amplitudes", amps,
+                                "--env-count", str(n_env))
+        assert got == code
+        if dim is None:
+            assert len(parse_tables(out)["cascade"]["rows"]) == n_env
+        else:
+            assert json.loads(err) == {
+                "error": "dimension_guard",
+                "detail": f"total dimension {dim} exceeds guard {2 ** 20}"}
 
 
 class TestPlumbing:
@@ -438,3 +496,43 @@ def test_overlap_example_matches_golden_csv(capsys, name):
     code, out, _ = run_cli(capsys, *OVERLAP_EXAMPLES[name])
     assert code == 0
     assert out == (GOLDEN / f"{name}.csv").read_text()
+
+
+def test_records_scenarios_build_no_dense_state(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense state or reduction was built")
+
+    monkeypatch.setattr(tensor_core.PureState, "__init__", refuse)
+    for name, module in list(sys.modules.items()):
+        if name == "envlab" or name.startswith("envlab."):
+            for fn in ("partial_trace", "relative_states", "controlled_shift"):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, refuse)
+    for name in ("einselect", "redundancy", "cascade"):
+        code, out, _ = run_cli(capsys, *README_EXAMPLES[name])
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.csv").read_text()
+
+
+def system_entropy_gap(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    return float(json.loads(out)["residuals"]["system_entropy_gap"])
+
+
+IMPERFECT_REDUNDANCY = ("redundancy", "--amplitudes", "1,1", "--env-count",
+                        "1", "--overlap", "0.9")
+
+
+@pytest.mark.parametrize("argv", [README_EXAMPLES["redundancy"],
+                                  IMPERFECT_REDUNDANCY])
+def test_system_entropy_gap_is_roundoff(capsys, argv):
+    assert system_entropy_gap(capsys, argv) <= 1e-12
+
+
+def test_system_entropy_gap_sees_a_kernel_fault(capsys, monkeypatch):
+    real = tensor_core.branch_density
+    # the Gram product over the traced labels leaves out the apparatus
+    monkeypatch.setattr(tensor_core, "branch_density",
+                        lambda state, labels: real(state, [*labels, "A"]))
+    assert system_entropy_gap(capsys, IMPERFECT_REDUNDANCY) > 1e-3
