@@ -140,38 +140,15 @@ def _complement_basis(cols: np.ndarray, dim: int) -> np.ndarray:
     return full[:, cols.shape[1]:]
 
 
-def _environment_undo(before: PureState, after: PureState,
-                      system_labels, env_labels) -> SubsystemUnitary:
-    """Environment-side unitary X with (I x X)|after> = |before>.
-
-    Valid whenever the reduced system operators of the two states agree;
-    built from the singular frames of both states, handling degenerate
-    spectra via the block rotation Q = U^+ U'.
-    """
-    def frames(state):
-        u, s, vh = np.linalg.svd(matricize(state, system_labels),
-                                 full_matrices=False)
-        r = int(np.sum(s > KERNEL_TOL))
-        return u[:, :r], s[:r], vh[:r, :].conj().T   # V columns: A v = s u
-
-    u0, s0, v0 = frames(before)
-    u1, s1, v1 = frames(after)
-    de = v0.shape[0]
-    q = u1.conj().T @ u0                       # maps after-frame to before-frame
-    xt = v1 @ q @ v0.conj().T
-    xt += _complement_basis(v1, de) @ _complement_basis(v0, de).conj().T
-    return SubsystemUnitary(env_labels, xt.T)
-
-
 def is_envariant(state: PureState, u: SubsystemUnitary,
                  environment_side) -> EnvarianceVerdict:
     """Decide envariance of ``u`` and construct a verified undo.
 
     Decision rule: if the reduced operator on the non-environment side
     changes beyond STATE_TOL entrywise, no environment action can restore the
-    state (verdict false, trace-distance witness recorded).  Otherwise an
-    undo is built from the Schmidt frames and verified to restore the
-    global state up to global phase.
+    state (verdict false, trace-distance witness recorded).  Otherwise
+    the undo is the counter-rotation on the state's own Schmidt partners,
+    verified to restore the global state up to global phase.
     """
     env = set(environment_side if not isinstance(environment_side, str)
               else [environment_side])
@@ -191,7 +168,15 @@ def is_envariant(state: PureState, u: SubsystemUnitary,
             False, None, global_phase_distance(state, after), witness,
             "reduced system operator changed",
         )
-    undo = _environment_undo(state, after, sys_labels, env_labels)
+    # psi = A C R^T, and U A = A W with W commuting with C, so
+    # A^+ M' R^* = W C: its unitary polar factor is W, found without
+    # dividing by C, and X R = R W^* undoes U on the environment
+    sd = schmidt_decompose(state, sys_labels)
+    a, r = sd.left_basis[:, : sd.rank], sd.right_basis[:, : sd.rank]
+    p, _, vh = np.linalg.svd(a.conj().T @ matricize(after, sys_labels)
+                             @ r.conj())
+    x = r @ (p @ vh).conj() @ r.conj().T
+    undo = SubsystemUnitary(env_labels, x + np.eye(len(x)) - r @ r.conj().T)
     restored = apply_unitary(after, undo)
     residual = global_phase_distance(restored, state)
     if residual >= STATE_TOL:
@@ -318,26 +303,19 @@ def count_spectrum(probs, tolerance: float, m_cap: int,
                    env_dim: int) -> np.ndarray:
     """p_k = m_k / M for a spectrum, in its order, from one denominator
     scan.  What ``fine_grain`` would build is certified without building
-    it: the counts fit, ``env_dim`` holds M records, the M coefficients
-    sqrt(p_k / m_k) are equal, and the counting weights match the
-    spectrum within tolerance + 1/M."""
+    it: the counts fit and ``env_dim`` holds M records.  Its M
+    coefficients sqrt(p_k / m_k) must be equal within STATE_TOL; a scan
+    that accepts unequal ones raises UseBoundsInstead."""
     probs = np.asarray(probs, dtype=float).ravel()
     m, counts = find_commensurate_denominator(probs, tolerance, m_cap)
     _check_counts(counts, probs, tolerance + 0.5 / m, env_dim)
-    terms = np.repeat(np.sqrt(probs / counts), counts)
-    per_term = _equal_weights(terms[terms > KERNEL_TOL])
-    if per_term.size != m:
-        raise PlanMismatch(
-            f"fine-grained state has {per_term.size} terms, expected {m}"
+    terms = np.sqrt(probs / counts)
+    if terms.max() - terms.min() > STATE_TOL:
+        raise UseBoundsInstead(
+            f"at M = {m} the terms range over [{terms.min()}, {terms.max()}]"
         )
-    # sum the m_k equal counting weights of each original outcome
-    agg = np.array([per_term[:mk].sum() for mk in counts])
-    gap = np.max(np.abs(agg - probs))
-    if gap > tolerance + 1.0 / m:
-        raise PlanMismatch(
-            f"counting probabilities deviate by {gap} from the spectrum"
-        )
-    return agg
+    # sum the m_k equal counting weights 1/M of each original outcome
+    return np.array([np.full(mk, 1.0 / m).sum() for mk in counts])
 
 
 def bound_spectrum(probs, m: int) -> ProbabilityBound:

@@ -19,6 +19,7 @@ from .errors import (
     ApparatusNotReady,
     BadOverlap,
     DimensionMismatch,
+    InvalidBipartition,
     LengthMismatch,
     NotNormalized,
 )
@@ -30,8 +31,6 @@ from .tensor_core import (
     SpaceLayout,
     _moved,
     attach_ready,
-    partial_trace,
-    relative_states,
     single_state,
 )
 
@@ -158,25 +157,18 @@ def observer_record(state: PureState, system: str, memory: str) -> PureState:
 
 def conditional_probability(state: PureState, memory: str,
                             system: str) -> ObserverOutcomeTable:
-    """Prior over pointer outcomes and p(s_l | mu_k) per memory outcome."""
-    ds = state.layout.dim(system)
-    dm = state.layout.dim(memory)
-    prior = np.real(np.diag(partial_trace(state, [system]).matrix)).copy()
-    basis = np.eye(dm)
-    conditional = np.zeros((dm, ds))
-    defined = np.zeros(dm, dtype=bool)
-    for k, (coeff, partner) in enumerate(
-        relative_states(state, [memory], basis)
-    ):
-        p = abs(coeff) ** 2
-        if p < KERNEL_TOL or partner is None:
-            conditional[k] = prior
-            continue
-        rho = partial_trace(partner, [system]).matrix
-        row = np.real(np.diag(rho)).copy()
-        row = np.clip(row, 0.0, None)
-        conditional[k] = row / row.sum()
-        defined[k] = True
+    """Prior over pointer outcomes and p(s_l | mu_k) per memory outcome,
+    read from the joint distribution |psi|^2 over (memory, system)."""
+    if memory == system:
+        raise InvalidBipartition(f"memory and system are both {memory!r}")
+    dm, ds = state.layout.dim(memory), state.layout.dim(system)
+    arr, _ = _moved(state, [memory, system])
+    joint = np.sum(np.abs(arr.reshape(dm, ds, -1)) ** 2, axis=2)
+    prior = joint.sum(axis=0)
+    weight = joint.sum(axis=1)
+    defined = weight >= KERNEL_TOL
+    conditional = np.tile(prior, (dm, 1))
+    conditional[defined] = joint[defined] / weight[defined, np.newaxis]
     return ObserverOutcomeTable(prior, conditional, defined)
 
 

@@ -163,7 +163,9 @@ def scalar_commensurate_denominator(probs, tolerance, m_cap):
 def dense_born_probabilities(state, system, tolerance=1e-10, m_cap=10 ** 4):
     """Counting probabilities from the explicit fine-grained state: build
     the n*M^2 state with ``fine_grain``, read its M equal Schmidt
-    coefficients off a full SVD and sum the 1/M weights blockwise."""
+    coefficients off a full SVD and sum the 1/M weights blockwise; unequal
+    coefficients mean the scanned M does not count the state, so bounds
+    are asked for instead."""
     sys_labels = state.layout.ordered(system)
     sd = schmidt_decompose(state, sys_labels)
     probs = sd.coefficients[: sd.rank] ** 2
@@ -171,7 +173,10 @@ def dense_born_probabilities(state, system, tolerance=1e-10, m_cap=10 ** 4):
     plan = FineGrainingPlan(counts, sys_labels, "_anc",
                             tolerance=tolerance + 0.5 / m)
     fine = fine_grain(state, plan)
-    per_term = equal_amplitude_probabilities(fine, state.layout.labels)
+    try:
+        per_term = equal_amplitude_probabilities(fine, state.layout.labels)
+    except errors.NotEqualAmplitude as exc:
+        raise errors.UseBoundsInstead(f"unequal fine-grained terms: {exc}")
     if per_term.size != m:
         raise errors.PlanMismatch(f"{per_term.size} terms, expected {m}")
     agg = np.zeros(probs.size)

@@ -119,13 +119,27 @@ class TestBorn:
     def test_unequal_terms_rejected_quickly(self, capsys):
         # the loose tolerance admits M = 8909, whose terms are unequal
         start = time.perf_counter()
-        code, _, err = run_cli(
+        code, out, _ = run_cli(
             capsys, "born", "--amplitudes", "0.5774,0.8165",
             "--tolerance", "1e-6")
         assert time.perf_counter() - start < 2.0
-        assert code == 2
-        assert json.loads(err)["fields"]["scenario"].startswith(
-            "NotEqualAmplitude: ")
+        assert code == 0
+        tables = parse_tables(out)
+        assert "born" not in tables
+        assert [r[0] for r in tables["bounds"]["rows"]] == \
+            ["100", "100", "1000", "1000", "10000", "10000"]
+
+    def test_unequal_terms_at_default_tolerance_give_bounds(self, capsys):
+        # p_0 = 0.01 + 5e-11: the scan accepts M = 100 within 1e-10, but
+        # the terms sqrt(p_k / m_k) differ by 2.5e-10 > STATE_TOL
+        code, out, err = run_cli(
+            capsys, "born", "--amplitudes", "0.10000000025,0.994987437081494")
+        assert (code, err) == (0, "")
+        tables = parse_tables(out)
+        assert "born" not in tables
+        rows = tables["bounds"]["rows"]
+        assert [r[:4] for r in rows[:2]] == [["100", "0", "0.01", "0.02"],
+                                             ["100", "1", "0.98", "0.99"]]
 
     @pytest.mark.parametrize("amps, want", [
         ("1,0", [("1", "1"), ("0", "0")]),

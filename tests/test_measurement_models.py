@@ -20,10 +20,12 @@ from envlab.measurement_models import (
     record_states,
 )
 from envlab.tensor_core import (
+    KERNEL_TOL,
     PureState,
     SpaceLayout,
     basis_state,
     partial_trace,
+    relative_states,
     schmidt_decompose,
     single_state,
     tensor_product,
@@ -214,6 +216,54 @@ class TestObserver:
         # memory never interacted: every defined row repeats the prior
         np.testing.assert_allclose(table.conditional[0], [0.5, 0.5],
                                    atol=1e-12)
+
+
+def relative_state_conditionals(state, memory, system):
+    """The conditional table composed from relative states: per memory
+    basis outcome, the diagonal of the partner's reduced system operator."""
+    prior = np.real(np.diag(partial_trace(state, [system]).matrix))
+    dm = state.layout.dim(memory)
+    rows, defined = [], []
+    for coeff, partner in relative_states(state, [memory], np.eye(dm)):
+        if abs(coeff) ** 2 < KERNEL_TOL or partner is None:
+            rows.append(prior)
+            defined.append(False)
+            continue
+        row = np.real(np.diag(partial_trace(partner, [system]).matrix))
+        row = np.clip(row, 0.0, None)
+        rows.append(row / row.sum())
+        defined.append(True)
+    return prior, np.array(rows), np.array(defined)
+
+
+@pytest.mark.parametrize("layout, seed", [
+    ([("M", 3), ("S", 2)], 40),
+    ([("S", 3), ("X", 2), ("M", 3)], 41),
+    ([("X", 2), ("M", 4), ("Y", 3), ("S", 2)], 42),
+    ([("Y", 2), ("S", 4), ("M", 3), ("X", 2)], 43),
+])
+def test_conditionals_match_relative_states(layout, seed):
+    # random complex amplitudes over extra labels; memory outcome 1 never
+    # occurs, so its row falls back to the prior
+    rng = np.random.default_rng(seed)
+    dims = [d for _, d in layout]
+    amps = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+    m_axis = [l for l, _ in layout].index("M")
+    np.moveaxis(amps, m_axis, 0)[1] = 0.0
+    st = PureState(SpaceLayout(layout), amps.ravel() / np.linalg.norm(amps))
+    table = conditional_probability(st, "M", "S")
+    prior, conditional, defined = relative_state_conditionals(st, "M", "S")
+    assert not table.defined[1]
+    np.testing.assert_array_equal(table.defined, defined)
+    np.testing.assert_allclose(table.prior, prior, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(table.conditional, conditional, rtol=0,
+                               atol=1e-12)
+
+
+def test_memory_and_system_must_differ():
+    st = tensor_product(single_state("S", [0.6, 0.8]), ready("M"))
+    with pytest.raises(errors.InvalidBipartition):
+        conditional_probability(st, "S", "S")
 
 
 class TestReadiness:
