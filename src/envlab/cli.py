@@ -38,6 +38,7 @@ from .measurement_models import BranchSpec, branch_records
 from .tensor_core import (
     KERNEL_TOL,
     SubsystemUnitary,
+    _check_dimension,
     branch_density,
     dimension_guard,
     schmidt_decompose,
@@ -75,11 +76,15 @@ class ScenarioConfig:
         bad = {}
         if self.kind not in SCENARIOS:
             bad["kind"] = f"unknown scenario {self.kind!r}"
+        with np.errstate(over="ignore"):    # past float range it is inf
+            norm = np.linalg.norm(self.amplitudes)
         if len(self.amplitudes) < 1:
             bad["amplitudes"] = "at least one amplitude required"
         elif not np.all(np.isfinite(self.amplitudes)):
             bad["amplitudes"] = "amplitudes must be finite"
-        elif np.linalg.norm(self.amplitudes) < KERNEL_TOL:
+        elif norm == np.inf:
+            bad["amplitudes"] = "amplitude norm overflows a float"
+        elif norm < KERNEL_TOL:
             bad["amplitudes"] = "amplitude vector is zero"
         if self.env_count < 0:
             bad["env_count"] = "environment count must be >= 0"
@@ -93,6 +98,8 @@ class ScenarioConfig:
             bad["tolerance"] = "tolerance must be positive"
         if any(m < 1 for m in self.bounds_m):
             bad["bounds_m"] = "bounding denominators must be >= 1"
+        elif max(self.bounds_m, default=0) > 2 ** 53:  # p*M and counts exact
+            bad["bounds_m"] = "bounding denominators must be <= 2^53"
         if self.format not in ("csv", "json"):
             bad["format"] = f"unknown format {self.format!r}"
         if self.kind in ("einselect", "redundancy", "cascade", "envariance") \
@@ -133,11 +140,11 @@ def _run_einselect(cfg: ScenarioConfig) -> tuple[dict, dict]:
     amps = cfg.unit_amplitudes()
     d = amps.size
     spec = BranchSpec("S", d, amps, cfg.overlap)
-    state = branch_records(spec, apparatus="A", environments=["E"])
+    state = branch_records(spec, apparatus="A", environments="E")
     # rho_SA vanishes off the branch kets |k>_S|k>_A
     mat = branch_density(state, ["S", "A"])
     offdiag = float(np.max(np.abs(mat - np.diag(np.diag(mat)))))
-    mi = mutual_information(state, FragmentSpec(("S", "A"), ("E",)))
+    mi = mutual_information(state, FragmentSpec(("S", "A"), "E"))
     rows = [[k, float(abs(amps[k]) ** 2), offdiag, mi] for k in range(d)]
     tables = {"einselect": {
         "columns": ["branch_index", "population", "offdiag_max",
@@ -152,9 +159,10 @@ def _run_redundancy(cfg: ScenarioConfig) -> tuple[dict, dict]:
     amps = cfg.unit_amplitudes()
     d = amps.size
     spec = BranchSpec("S", d, amps, cfg.overlap)
+    _check_dimension([(d, cfg.env_count + 2)])    # before building N labels
     envs = [f"E{i + 1}" for i in range(cfg.env_count)]
     state = branch_records(spec, apparatus="A", environments=envs)
-    report = redundancy_report(state, ("S",), [(e,) for e in envs])
+    report = redundancy_report(state, "S", envs)
     rows = [[i, mi, cum, ratio] for i, mi, cum, ratio in report.rows()]
     tables = {"redundancy": {
         "columns": ["fragment_index", "mi_bits", "cumulative_bits", "ratio"],
@@ -204,7 +212,7 @@ def _run_born(cfg: ScenarioConfig) -> tuple[dict, dict]:
 def _run_envariance(cfg: ScenarioConfig) -> tuple[dict, dict]:
     amps = cfg.unit_amplitudes()
     state = schmidt_state(amps, amps.size)
-    sd = schmidt_decompose(state, ("S",))
+    sd = schmidt_decompose(state, "S")
     rng = np.random.default_rng(20040971)
     rows = []
     phases = np.pi * (1.0 + np.arange(sd.rank)) / sd.rank
@@ -214,9 +222,9 @@ def _run_envariance(cfg: ScenarioConfig) -> tuple[dict, dict]:
     gauss = rng.normal(size=(amps.size, amps.size)) \
         + 1j * rng.normal(size=(amps.size, amps.size))
     tests.append(("random_system_unitary",
-                  SubsystemUnitary(("S",), np.linalg.qr(gauss)[0])))
+                  SubsystemUnitary("S", np.linalg.qr(gauss)[0])))
     for name, u in tests:
-        verdict = is_envariant(state, u, ("E",))
+        verdict = is_envariant(state, u, "E")
         rows.append([name, int(verdict.envariant), verdict.residual,
                      verdict.witness_trace_distance])
     tables = {"envariance": {
@@ -232,6 +240,7 @@ def _run_envariance(cfg: ScenarioConfig) -> tuple[dict, dict]:
 def _run_cascade(cfg: ScenarioConfig) -> tuple[dict, dict]:
     amps = cfg.unit_amplitudes()
     d = amps.size
+    _check_dimension([(d, 2 * cfg.env_count + 1)])
     immediate = [f"E{i + 1}" for i in range(cfg.env_count)]
     distant = [f"F{i + 1}" for i in range(cfg.env_count)]
     # perfect records: the c-shift from E_i copies its record onto F_i
@@ -244,7 +253,7 @@ def _run_cascade(cfg: ScenarioConfig) -> tuple[dict, dict]:
     )
     rows = []
     for i, lab in enumerate(distant):
-        split = FragmentSpec(("S",), (lab,))
+        split = FragmentSpec("S", lab)
         mi_ptr = basis_conditioned_mutual_information(
             state, split, pointer_basis)
         mi_conj = basis_conditioned_mutual_information(

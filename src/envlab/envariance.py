@@ -27,6 +27,7 @@ from .tensor_core import (
     PureState,
     SchmidtDecomposition,
     SubsystemUnitary,
+    _label_tuple,
     _leading_index,
     apply_unitary,
     attach_ready,
@@ -74,7 +75,7 @@ class FineGrainingPlan:
         if any(c < 1 for c in counts):
             raise PlanMismatch("all fine-graining counts must be >= 1")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "system_labels", tuple(system_labels))
+        object.__setattr__(self, "system_labels", _label_tuple(system_labels))
         object.__setattr__(self, "ancilla_label", str(ancilla_label))
         object.__setattr__(self, "tolerance", float(tolerance))
 
@@ -150,20 +151,18 @@ def is_envariant(state: PureState, u: SubsystemUnitary,
     the undo is the counter-rotation on the state's own Schmidt partners,
     verified to restore the global state up to global phase.
     """
-    env = set(environment_side if not isinstance(environment_side, str)
-              else [environment_side])
-    env_labels = state.layout.ordered(env)
-    if set(u.targets) & env:
+    env_labels = state.layout.ordered(environment_side)
+    if set(u.targets) & set(env_labels):
         raise SideViolation(
             f"unitary targets {u.targets} overlap environment side"
         )
-    sys_labels = state.layout.complement(env)
-    rho_before = partial_trace(state, sys_labels)
+    sys_labels = state.layout.complement(env_labels)
     after = apply_unitary(state, u)
-    rho_after = partial_trace(after, sys_labels)
-    entry_gap = float(np.max(np.abs(rho_before.matrix - rho_after.matrix)))
-    witness = trace_distance(rho_before, rho_after)
-    if entry_gap > STATE_TOL:
+    m_before = matricize(state, sys_labels)
+    m_after = matricize(after, sys_labels)
+    gap = m_before @ m_before.conj().T - m_after @ m_after.conj().T
+    witness = float(0.5 * np.abs(np.linalg.eigvalsh(gap)).sum())
+    if np.max(np.abs(gap)) > STATE_TOL:
         return EnvarianceVerdict(
             False, None, global_phase_distance(state, after), witness,
             "reduced system operator changed",
@@ -173,8 +172,7 @@ def is_envariant(state: PureState, u: SubsystemUnitary,
     # dividing by C, and X R = R W^* undoes U on the environment
     sd = schmidt_decompose(state, sys_labels)
     a, r = sd.left_basis[:, : sd.rank], sd.right_basis[:, : sd.rank]
-    p, _, vh = np.linalg.svd(a.conj().T @ matricize(after, sys_labels)
-                             @ r.conj())
+    p, _, vh = np.linalg.svd(a.conj().T @ m_after @ r.conj())
     x = r @ (p @ vh).conj() @ r.conj().T
     undo = SubsystemUnitary(env_labels, x + np.eye(len(x)) - r @ r.conj().T)
     restored = apply_unitary(after, undo)
@@ -275,7 +273,7 @@ def fine_grain(state: PureState, plan: FineGrainingPlan) -> PureState:
     w += _complement_basis(frame, de) @ _complement_basis(eps, de).conj().T
     rotated = apply_unitary(state, SubsystemUnitary(env_labels, w))
     joined = attach_ready(rotated, plan.ancilla_label, plan.total)
-    return controlled_shift(joined, list(env_labels), plan.ancilla_label)
+    return controlled_shift(joined, env_labels, plan.ancilla_label)
 
 
 def find_commensurate_denominator(probs, tolerance: float,
@@ -357,7 +355,7 @@ def _pointer_order(sd: SchmidtDecomposition) -> np.ndarray:
 def schmidt_probabilities(state: PureState, system) -> np.ndarray:
     """Squared Schmidt coefficients in pointer order: by each system
     Schmidt vector's leading basis index."""
-    sd = schmidt_decompose(state, state.layout.ordered(system))
+    sd = schmidt_decompose(state, system)
     probs = sd.coefficients[: sd.rank] ** 2
     return probs[_pointer_order(sd)]
 

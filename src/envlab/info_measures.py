@@ -19,6 +19,7 @@ from .tensor_core import (
     BranchState,
     DensityOperator,
     PureState,
+    _label_tuple,
     branch_outcomes,
     partial_trace,
     reduced_spectrum,
@@ -34,8 +35,8 @@ class FragmentSpec:
     fragment_labels: tuple[str, ...]
 
     def __init__(self, system_labels, fragment_labels):
-        sys_ = tuple(system_labels)
-        frag = tuple(fragment_labels)
+        sys_ = _label_tuple(system_labels)
+        frag = _label_tuple(fragment_labels)
         if set(sys_) & set(frag):
             raise OverlappingSplit(
                 f"system {sys_} and fragment {frag} overlap"
@@ -84,8 +85,6 @@ def _entropy(state: PureState | BranchState, labels) -> float:
 def mutual_information(state: PureState | BranchState,
                        split: FragmentSpec) -> float:
     """I(S:F) = H(S) + H(F) - H(S,F) in bits, clamped to >= 0."""
-    state.layout.check_labels(split.system_labels)
-    state.layout.check_labels(split.fragment_labels)
     hs = _entropy(state, split.system_labels)
     return _mutual_information(state, split.system_labels,
                                split.fragment_labels, hs)
@@ -102,9 +101,8 @@ def _mutual_information(state: PureState | BranchState, system: tuple,
 def redundancy_report(state: PureState | BranchState, system,
                       fragments) -> RedundancyReport:
     """Summed fragment MI and the redundancy ratio I_total / H(S)."""
-    system = tuple(system) if not isinstance(system, str) else (system,)
-    frag_sets = [tuple(f) if not isinstance(f, str) else (f,)
-                 for f in fragments]
+    system = _label_tuple(system)
+    frag_sets = [_label_tuple(f) for f in fragments]
     claimed: set[str] = set(system)
     for f in frag_sets:
         if claimed & set(f):
@@ -129,8 +127,6 @@ def basis_conditioned_mutual_information(
     system must hold the pointer label).  Outcomes with probability below
     ``KERNEL_TOL`` are skipped.
     """
-    state.layout.check_labels(split.system_labels)
-    state.layout.check_labels(split.fragment_labels)
     hs = _entropy(state, split.system_labels)
     if isinstance(state, BranchState):
         outcomes = branch_outcomes(state, split.system_labels,

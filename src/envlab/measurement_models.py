@@ -29,6 +29,7 @@ from .tensor_core import (
     BranchState,
     PureState,
     SpaceLayout,
+    _label_tuple,
     _moved,
     attach_ready,
     single_state,
@@ -131,7 +132,7 @@ def broadcast_environment(state: PureState, pointer: str, environments,
     if not 0.0 <= overlap <= 1.0:
         raise BadOverlap(f"overlap {overlap} outside [0, 1]")
     out = state
-    for env in environments:
+    for env in _label_tuple(environments):
         out = _write_record(out, pointer, env, "environment", overlap)
     return out
 
@@ -139,7 +140,7 @@ def broadcast_environment(state: PureState, pointer: str, environments,
 def cascade_environment(state: PureState, immediate, distant) -> PureState:
     """Pairwise local controlled shifts from immediate onto distant
     environment subsystems."""
-    immediate, distant = list(immediate), list(distant)
+    immediate, distant = _label_tuple(immediate), _label_tuple(distant)
     if len(immediate) != len(distant):
         raise LengthMismatch(
             f"{len(immediate)} immediate vs {len(distant)} distant"
@@ -182,7 +183,7 @@ def build_branch_state(spec: BranchSpec, apparatus: str | None = None,
         out = attach_ready(out, apparatus, d)
         out = premeasure(out, spec.system_label, apparatus)
     pointer = apparatus if apparatus is not None else spec.system_label
-    environments = list(environments)
+    environments = _label_tuple(environments)
     for env in environments:
         out = attach_ready(out, env, d)
     return broadcast_environment(out, pointer, environments,
@@ -199,9 +200,9 @@ def branch_records(spec: BranchSpec, apparatus: str | None = None,
     dimension guard applies to its full dimension.
     """
     d = spec.pointer_dimension
-    environments = list(environments)
-    perfect = [spec.system_label] + ([apparatus] if apparatus is not None
-                                     else [])
+    environments = _label_tuple(environments)
+    perfect = (spec.system_label,) + ((apparatus,) if apparatus is not None
+                                      else ())
     layout = SpaceLayout([(l, d) for l in perfect + environments])
     recs = record_states(d, d, spec.record_overlap)
     kets = [np.eye(d)] * len(perfect) + [recs] * len(environments)

@@ -47,6 +47,26 @@ def dimension_guard() -> int:
             f"ENVLAB_DIM_GUARD must be an integer, got {raw!r}") from None
 
 
+def _label_tuple(labels) -> tuple[str, ...]:
+    """A label-set argument as a tuple: a bare string is one label, any
+    other iterable holds the labels."""
+    return (labels,) if isinstance(labels, str) else tuple(labels)
+
+
+def _check_dimension(factors) -> None:
+    """Raise SpaceTooLarge when the product of d**m over the (d, m) pairs
+    exceeds the guard.  A product past 4301 digits exceeds any guard
+    ``int`` reads, so it is not formed; the detail shows the exact product
+    when it has at most 4300 digits, the most ``str`` prints."""
+    guard, factors = dimension_guard(), list(factors)
+    log10 = sum(m * math.log10(d) for d, m in factors)
+    total = math.prod(d ** m for d, m in factors) if log10 < 4301 else None
+    if total is None or total > guard:
+        shown = total if total is not None and total < 10 ** 4300 \
+            else f"about 10^{log10:.0f}"
+        raise SpaceTooLarge(f"total dimension {shown} exceeds guard {guard}")
+
+
 @dataclass(frozen=True)
 class SpaceLayout:
     """Ordered list of (label, dimension) pairs defining a tensor space."""
@@ -66,11 +86,7 @@ class SpaceLayout:
             seen.add(label)
             if dim < 1:
                 raise ValueError(f"dimension of {label!r} must be >= 1")
-        if self.total_dimension > dimension_guard():
-            raise SpaceTooLarge(
-                f"total dimension {self.total_dimension} exceeds guard "
-                f"{dimension_guard()}"
-            )
+        _check_dimension((d, 1) for d in self.dims)
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -93,13 +109,9 @@ class SpaceLayout:
     def dim(self, label: str) -> int:
         return self.dims[self.index(label)]
 
-    def check_labels(self, labels) -> None:
-        for l in labels:
-            self.index(l)
-
     def ordered(self, labels) -> tuple[str, ...]:
-        """The given labels sorted into layout order."""
-        want = set(labels)
+        """The given labels in layout order; the first unknown one raises."""
+        want = dict.fromkeys(_label_tuple(labels))
         for l in want:
             self.index(l)
         return tuple(l for l in self.labels if l in want)
@@ -109,11 +121,11 @@ class SpaceLayout:
         return SpaceLayout([(l, self.dim(l)) for l in keep])
 
     def subdim(self, labels) -> int:
-        return math.prod(self.dim(l) for l in labels)
+        return math.prod(self.dim(l) for l in _label_tuple(labels))
 
     def complement(self, labels) -> tuple[str, ...]:
         """The layout's labels not in ``labels``, in layout order."""
-        drop = set(labels)
+        drop = set(_label_tuple(labels))
         return tuple(l for l in self.labels if l not in drop)
 
 
@@ -254,7 +266,7 @@ class SubsystemUnitary:
             raise NotUnitary(f"matrix shape {mat.shape} is not square")
         if np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))) > STATE_TOL:
             raise NotUnitary("U U+ differs from identity beyond tolerance")
-        object.__setattr__(self, "targets", tuple(targets))
+        object.__setattr__(self, "targets", _label_tuple(targets))
         object.__setattr__(self, "matrix", mat)
 
 
@@ -314,9 +326,8 @@ def attach_ready(state: PureState, label: str, dim: int) -> PureState:
 
 def _moved(state: PureState, front_labels) -> tuple[np.ndarray, list[int]]:
     """State tensor with the given labels moved to the leading axes."""
-    idx = [state.layout.index(l) for l in front_labels]
-    rest = [i for i in range(len(state.layout.dims)) if i not in idx]
-    perm = idx + rest
+    layout, front = state.layout, _label_tuple(front_labels)
+    perm = [layout.index(l) for l in front + layout.complement(front)]
     return state.tensor().transpose(perm), perm
 
 
@@ -349,13 +360,11 @@ def controlled_shift(state: PureState, controls, target: str) -> PureState:
     index is read out in the usual row-major convention.  Implemented as an
     index permutation, so large control/target dimensions stay cheap.
     """
-    if isinstance(controls, str):
-        controls = [controls]
-    controls = list(controls)
+    controls = _label_tuple(controls)
     if target in controls:
         raise LabelCollision("target coincides with a control")
     dt = state.layout.dim(target)
-    arr, perm = _moved(state, controls + [target])
+    arr, perm = _moved(state, controls + (target,))
     dc = state.layout.subdim(controls)
     work = arr.reshape(dc, dt, -1).copy()
     for k in range(dc):
@@ -366,13 +375,10 @@ def controlled_shift(state: PureState, controls, target: str) -> PureState:
 
 def partial_trace(state, keep) -> DensityOperator:
     """Trace out everything except the ``keep`` labels."""
-    if isinstance(keep, str):
-        keep = [keep]
-    keep = list(keep)
-    if not keep:
-        raise EmptyKeepSet("keep set must be non-empty")
     layout = state.layout
     keep_ordered = layout.ordered(keep)
+    if not keep_ordered:
+        raise EmptyKeepSet("keep set must be non-empty")
     if isinstance(state, PureState):
         if len(keep_ordered) == len(layout.labels):
             v = state.amplitudes
@@ -381,12 +387,9 @@ def partial_trace(state, keep) -> DensityOperator:
         rho = mat @ mat.conj().T
         return DensityOperator(layout.restrict(keep_ordered), rho)
     if isinstance(state, DensityOperator):
-        n = len(layout.dims)
-        keep_idx = [layout.index(l) for l in keep_ordered]
-        drop_idx = [i for i in range(n) if i not in keep_idx]
         t = state.matrix.reshape(layout.dims + layout.dims)
-        m = n
-        for i in sorted(drop_idx, reverse=True):
+        m = len(layout.dims)
+        for i in map(layout.index, reversed(layout.complement(keep_ordered))):
             t = np.trace(t, axis1=i, axis2=i + m)
             m -= 1
         dk = layout.subdim(keep_ordered)
@@ -402,8 +405,6 @@ def branch_density(state: BranchState, labels) -> np.ndarray:
     Those kets are orthonormal, since the pointer's are; entry (k, l) is
     a_k a_l* times the product of G_j[l, k] over the labels traced out.
     """
-    if isinstance(labels, str):
-        labels = [labels]
     layout = state.layout
     keep = layout.ordered(labels)
     if layout.labels[0] not in keep:
@@ -425,12 +426,10 @@ def reduced_spectrum(state: BranchState, labels) -> np.ndarray:
     other side.  The whole state is pure; its spectrum is the single
     eigenvalue 1.
     """
-    if isinstance(labels, str):
-        labels = [labels]
-    if not labels:
-        raise EmptyKeepSet("keep set must be non-empty")
     layout = state.layout
     keep = layout.ordered(labels)
+    if not keep:
+        raise EmptyKeepSet("keep set must be non-empty")
     if layout.labels[0] not in keep:
         keep = layout.complement(keep)
     if len(keep) == len(layout.labels):
@@ -482,8 +481,6 @@ def _phase_fix(columns: np.ndarray, firsts: np.ndarray) -> np.ndarray:
 
 def schmidt_decompose(state: PureState, left) -> SchmidtDecomposition:
     """Schmidt decomposition across the (left, complement) bipartition."""
-    if isinstance(left, str):
-        left = [left]
     left_ordered = state.layout.ordered(left)
     right_ordered = state.layout.complement(left_ordered)
     if not left_ordered or not right_ordered:
@@ -539,8 +536,6 @@ def relative_states(state: PureState, left, basis):
     normalized PureState on the complement, or None when the coefficient
     magnitude falls below KERNEL_TOL (flagged zero rather than normalized).
     """
-    if isinstance(left, str):
-        left = [left]
     left_ordered = state.layout.ordered(left)
     right_ordered = state.layout.complement(left_ordered)
     if not right_ordered:

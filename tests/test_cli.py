@@ -377,6 +377,50 @@ class TestPlumbing:
                 "error": "dimension_guard",
                 "detail": f"total dimension {dim} exceeds guard {2 ** 20}"}
 
+    @pytest.mark.parametrize("kind, n_env, shown", [
+        # d^(N+2) for redundancy, d^(2N+1) for cascade, with d = 2
+        ("redundancy", 14282, str(2 ** 14284)),       # 4300 digits
+        ("redundancy", 14283, "about 10^4300"),       # 4301 digits
+        ("redundancy", 14285, "about 10^4301"),
+        ("redundancy", 10 ** 6, "about 10^301031"),
+        ("redundancy", 10 ** 18, None),
+        ("cascade", 7142, "about 10^4300"),
+        ("cascade", 10 ** 18, None),
+    ])
+    def test_guard_past_printable_dimension(self, capsys, monkeypatch, kind,
+                                            n_env, shown):
+        monkeypatch.delenv("ENVLAB_DIM_GUARD", raising=False)
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, kind, "--amplitudes", "1,1",
+                               "--env-count", str(n_env))
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        doc = json.loads(err)
+        assert doc["error"] == "dimension_guard"
+        assert doc["detail"].endswith(f" exceeds guard {2 ** 20}")
+        if shown is not None:
+            assert doc["detail"] == (
+                f"total dimension {shown} exceeds guard {2 ** 20}")
+
+    @pytest.mark.parametrize("argv, field", [
+        (("--amplitudes", "0.6,0.8", "--bounds-m", str(10 ** 20)), "bounds_m"),
+        (("--amplitudes", "0.6,0.8", "--bounds-m", str(2 ** 53 + 1)),
+         "bounds_m"),
+        (("--amplitudes", "1e200,1e200"), "amplitudes"),
+    ])
+    def test_beyond_float_range_rejected(self, capsys, argv, field):
+        code, out, err = run_cli(capsys, "born", *argv)
+        assert code == 2
+        assert out == ""
+        assert list(json.loads(err)["fields"]) == [field]
+
+    def test_largest_bounds_denominator(self, capsys):
+        code, out, _ = run_cli(capsys, "born", "--amplitudes", "0.6,0.8",
+                               "--bounds-m", str(2 ** 53))
+        assert code == 0
+        rows = parse_tables(out)["bounds"]["rows"]
+        assert [r[2:4] for r in rows] == [["0.36", "0.36"], ["0.64", "0.64"]]
+
     @pytest.mark.parametrize("argv, field", [
         (("born", "--amplitudes", "-0.5,0.8"), "amplitudes"),
         (("born", "--amplitudes", "1,1", "--bogus", "3"), "arguments"),
