@@ -151,12 +151,11 @@ def is_envariant(state: PureState, u: SubsystemUnitary,
     the undo is the counter-rotation on the state's own Schmidt partners,
     verified to restore the global state up to global phase.
     """
-    env_labels = state.layout.ordered(environment_side)
+    env_labels, sys_labels = state.layout.split(environment_side)
     if set(u.targets) & set(env_labels):
         raise SideViolation(
             f"unitary targets {u.targets} overlap environment side"
         )
-    sys_labels = state.layout.complement(env_labels)
     after = apply_unitary(state, u)
     m_before = matricize(state, sys_labels)
     m_after = matricize(after, sys_labels)
@@ -254,8 +253,7 @@ def fine_grain(state: PureState, plan: FineGrainingPlan) -> PureState:
     steps act only on the environment side, so the reduced operator on
     the system is untouched.
     """
-    sys_labels = state.layout.ordered(plan.system_labels)
-    env_labels = state.layout.complement(sys_labels)
+    sys_labels, env_labels = state.layout.split(plan.system_labels)
     if plan.ancilla_label in state.layout.labels:
         raise PlanMismatch(f"ancilla label {plan.ancilla_label!r} already used")
     sd = schmidt_decompose(state, sys_labels)
@@ -340,8 +338,8 @@ def born_probabilities(state: PureState, system, tolerance: float = 1e-10,
     """Outcome probabilities by fine-graining and counting equal terms:
     ``count_spectrum`` of the squared Schmidt coefficients, in pointer
     order (see ``schmidt_probabilities``)."""
-    sys_labels = state.layout.ordered(system)
-    env_dim = state.layout.subdim(state.layout.complement(sys_labels))
+    sys_labels, env_labels = state.layout.split(system)
+    env_dim = state.layout.subdim(env_labels)
     return count_spectrum(schmidt_probabilities(state, sys_labels),
                           tolerance, m_cap, env_dim)
 

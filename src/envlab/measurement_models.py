@@ -30,7 +30,7 @@ from .tensor_core import (
     PureState,
     SpaceLayout,
     _label_tuple,
-    _moved,
+    _grouped,
     attach_ready,
     single_state,
 )
@@ -87,14 +87,11 @@ def _write_record(state: PureState, source: str, target: str, what: str,
     as (source, target, rest), the part off the target's |0> slice has
     norm at most STATE_TOL.
     """
-    ds, dt = state.layout.dim(source), state.layout.dim(target)
-    recs = record_states(ds, dt, overlap)   # checks that dt >= ds
-    arr, perm = _moved(state, [source, target])
-    view = arr.reshape(ds, dt, -1)
+    view, restore = _grouped(state, source, target)
+    recs = record_states(*view.shape[:2], overlap)   # checks that dt >= ds
     if np.linalg.norm(view[:, 1:, :]) > STATE_TOL:
         raise ApparatusNotReady(f"{what} {target!r} is not in its ready state")
-    out = (recs[:, :, np.newaxis] * view[:, :1, :]).reshape(arr.shape)
-    return PureState(state.layout, out.transpose(np.argsort(perm)).ravel())
+    return restore(recs[:, :, np.newaxis] * view[:, :1, :])
 
 
 def premeasure(state: PureState, system: str, apparatus: str) -> PureState:
@@ -162,13 +159,12 @@ def conditional_probability(state: PureState, memory: str,
     read from the joint distribution |psi|^2 over (memory, system)."""
     if memory == system:
         raise InvalidBipartition(f"memory and system are both {memory!r}")
-    dm, ds = state.layout.dim(memory), state.layout.dim(system)
-    arr, _ = _moved(state, [memory, system])
-    joint = np.sum(np.abs(arr.reshape(dm, ds, -1)) ** 2, axis=2)
+    arr, _ = _grouped(state, memory, system)
+    joint = np.sum(np.abs(arr) ** 2, axis=2)
     prior = joint.sum(axis=0)
     weight = joint.sum(axis=1)
     defined = weight >= KERNEL_TOL
-    conditional = np.tile(prior, (dm, 1))
+    conditional = np.tile(prior, (len(joint), 1))
     conditional[defined] = joint[defined] / weight[defined, np.newaxis]
     return ObserverOutcomeTable(prior, conditional, defined)
 

@@ -100,33 +100,41 @@ class SpaceLayout:
     def total_dimension(self) -> int:
         return math.prod(self.dims)      # exact: int64 would wrap past 2^63
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {l: i for i, l in enumerate(self.labels)}
+
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
-            raise UnknownLabel(f"label {label!r} not in layout {self.labels}")
+            return self._positions[label]
+        except KeyError:
+            raise UnknownLabel(
+                f"label {label!r} not in layout {self.labels}") from None
 
     def dim(self, label: str) -> int:
         return self.dims[self.index(label)]
 
+    def split(self, labels) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The layout's labels inside ``labels`` and those outside it,
+        each in layout order; the first unknown label in the order given
+        raises."""
+        inside = set(map(self.index, _label_tuple(labels)))
+        return (tuple(l for i, l in enumerate(self.labels) if i in inside),
+                tuple(l for i, l in enumerate(self.labels) if i not in inside))
+
     def ordered(self, labels) -> tuple[str, ...]:
-        """The given labels in layout order; the first unknown one raises."""
-        want = dict.fromkeys(_label_tuple(labels))
-        for l in want:
-            self.index(l)
-        return tuple(l for l in self.labels if l in want)
+        """The given labels in layout order."""
+        return self.split(labels)[0]
 
     def restrict(self, labels) -> "SpaceLayout":
-        keep = self.ordered(labels)
-        return SpaceLayout([(l, self.dim(l)) for l in keep])
+        return SpaceLayout([(l, self.dim(l)) for l in self.ordered(labels)])
 
     def subdim(self, labels) -> int:
         return math.prod(self.dim(l) for l in _label_tuple(labels))
 
     def complement(self, labels) -> tuple[str, ...]:
         """The layout's labels not in ``labels``, in layout order."""
-        drop = set(_label_tuple(labels))
-        return tuple(l for l in self.labels if l not in drop)
+        return self.split(labels)[1]
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -324,33 +332,37 @@ def attach_ready(state: PureState, label: str, dim: int) -> PureState:
     return tensor_product(state, ready)
 
 
-def _moved(state: PureState, front_labels) -> tuple[np.ndarray, list[int]]:
-    """State tensor with the given labels moved to the leading axes."""
-    layout, front = state.layout, _label_tuple(front_labels)
-    perm = [layout.index(l) for l in front + layout.complement(front)]
-    return state.tensor().transpose(perm), perm
+def _grouped(state: PureState, *label_groups):
+    """Amplitudes with one axis per label group, each group's labels in
+    the order given, and a last axis over the other labels in layout
+    order; with them, the map taking an array of that shape back to a
+    PureState."""
+    layout = state.layout
+    front = sum(map(_label_tuple, label_groups), ())
+    order = [layout.index(l) for l in front + layout.complement(front)]
+    moved = state.tensor().transpose(order)
+    shape = [layout.subdim(g) for g in label_groups] + [-1]
+
+    def restore(arr: np.ndarray) -> PureState:
+        arr = np.moveaxis(arr.reshape(moved.shape), range(len(order)), order)
+        return PureState(layout, arr.ravel())
+
+    return moved.reshape(shape), restore
 
 
 def matricize(state: PureState, row_labels) -> np.ndarray:
     """Amplitudes as a matrix: rows index ``row_labels`` (in the given
     order), columns the remaining subsystems in layout order."""
-    arr, _ = _moved(state, row_labels)
-    return arr.reshape(state.layout.subdim(row_labels), -1)
+    return _grouped(state, row_labels)[0]
 
 
 def apply_unitary(state: PureState, u: SubsystemUnitary) -> PureState:
     """Apply ``u`` embedded on its target subsystems: (I x U x I)|psi>."""
-    dt = state.layout.subdim(u.targets)
-    if u.matrix.shape[0] != dt:
-        raise ValueError(
-            f"unitary dimension {u.matrix.shape[0]} != target dimension {dt}"
-        )
-    arr, perm = _moved(state, u.targets)
-    shape = arr.shape
-    out = (u.matrix @ arr.reshape(dt, -1)).reshape(shape)
-    inv = np.argsort(perm)
-    out = out.transpose(inv)
-    return PureState(state.layout, out.ravel())
+    arr, restore = _grouped(state, u.targets)
+    if u.matrix.shape[0] != len(arr):
+        raise ValueError(f"unitary dimension {u.matrix.shape[0]} != "
+                         f"target dimension {len(arr)}")
+    return restore(u.matrix @ arr)
 
 
 def controlled_shift(state: PureState, controls, target: str) -> PureState:
@@ -363,78 +375,70 @@ def controlled_shift(state: PureState, controls, target: str) -> PureState:
     controls = _label_tuple(controls)
     if target in controls:
         raise LabelCollision("target coincides with a control")
-    dt = state.layout.dim(target)
-    arr, perm = _moved(state, controls + (target,))
-    dc = state.layout.subdim(controls)
-    work = arr.reshape(dc, dt, -1).copy()
-    for k in range(dc):
-        work[k] = np.roll(work[k], k % dt, axis=0)
-    out = work.reshape(arr.shape).transpose(np.argsort(perm))
-    return PureState(state.layout, out.ravel())
+    arr, restore = _grouped(state, controls, target)
+    work = arr.copy()
+    for k in range(len(work)):
+        work[k] = np.roll(work[k], k % arr.shape[1], axis=0)
+    return restore(work)
 
 
 def partial_trace(state, keep) -> DensityOperator:
     """Trace out everything except the ``keep`` labels."""
     layout = state.layout
-    keep_ordered = layout.ordered(keep)
-    if not keep_ordered:
+    keep, traced = layout.split(keep)
+    if not keep:
         raise EmptyKeepSet("keep set must be non-empty")
     if isinstance(state, PureState):
-        if len(keep_ordered) == len(layout.labels):
-            v = state.amplitudes
-            return DensityOperator(layout, np.outer(v, v.conj()))
-        mat = matricize(state, keep_ordered)
-        rho = mat @ mat.conj().T
-        return DensityOperator(layout.restrict(keep_ordered), rho)
+        mat = matricize(state, keep)
+        return DensityOperator(layout.restrict(keep), mat @ mat.conj().T)
     if isinstance(state, DensityOperator):
         t = state.matrix.reshape(layout.dims + layout.dims)
         m = len(layout.dims)
-        for i in map(layout.index, reversed(layout.complement(keep_ordered))):
+        for i in map(layout.index, reversed(traced)):
             t = np.trace(t, axis1=i, axis2=i + m)
             m -= 1
-        dk = layout.subdim(keep_ordered)
-        return DensityOperator(layout.restrict(keep_ordered),
-                               t.reshape(dk, dk))
+        dk = layout.subdim(keep)
+        return DensityOperator(layout.restrict(keep), t.reshape(dk, dk))
     raise TypeError(f"unsupported input type {type(state)!r}")
+
+
+def _density(state: BranchState, keep, traced) -> np.ndarray:
+    """Entry (k, l) = a_k a_l* times the product of G_j[l, k] over the
+    ``traced`` labels: the reduced state over the branch kets of every
+    label not traced out.  ``keep`` must hold the pointer label, which
+    makes those kets orthonormal."""
+    layout = state.layout
+    if layout.labels[0] not in keep:
+        raise InvalidBipartition(
+            f"labels {keep} lack the pointer label {layout.labels[0]!r}")
+    g = state.grams[[layout.index(l) for l in traced]].prod(axis=0)
+    a = state.amplitudes
+    return np.outer(a, a.conj()) * g.T
 
 
 def branch_density(state: BranchState, labels) -> np.ndarray:
     """Reduced state on ``labels``, which hold the pointer label, as the
-    n x n matrix over its branch kets (x)_{j in labels} |e_j^k>.
-
-    Those kets are orthonormal, since the pointer's are; entry (k, l) is
-    a_k a_l* times the product of G_j[l, k] over the labels traced out.
-    """
-    layout = state.layout
-    keep = layout.ordered(labels)
-    if layout.labels[0] not in keep:
-        raise InvalidBipartition(
-            f"keep set {keep} lacks the pointer label {layout.labels[0]!r}")
-    traced = [layout.index(l) for l in layout.complement(keep)]
-    g = state.grams[traced].prod(axis=0)
-    a = state.amplitudes
-    return np.outer(a, a.conj()) * g.T
+    n x n matrix over its branch kets (x)_{j in labels} |e_j^k>."""
+    return _density(state, *state.layout.split(labels))
 
 
 def reduced_spectrum(state: BranchState, labels) -> np.ndarray:
     """Ascending eigenvalues of the reduced state on ``labels``.
 
     The two sides of a pure state share their nonzero spectrum, so the
-    side holding the pointer label is the one reduced: its
-    ``branch_density`` has the spectrum of sqrt(p) (G_j1 * G_j2 * ...)
-    sqrt(p), the Hadamard product running over the labels j of the
-    other side.  The whole state is pure; its spectrum is the single
-    eigenvalue 1.
+    side holding the pointer label is the one reduced: its density has
+    the spectrum of sqrt(p) (G_j1 * G_j2 * ...) sqrt(p), the Hadamard
+    product running over the labels j of the other side.  The whole
+    state is pure; its spectrum is the single eigenvalue 1.
     """
-    layout = state.layout
-    keep = layout.ordered(labels)
+    keep, traced = state.layout.split(labels)
     if not keep:
         raise EmptyKeepSet("keep set must be non-empty")
-    if layout.labels[0] not in keep:
-        keep = layout.complement(keep)
-    if len(keep) == len(layout.labels):
+    if not traced:
         return np.ones(1)
-    return np.linalg.eigvalsh(branch_density(state, keep))
+    if state.layout.labels[0] not in keep:
+        keep, traced = traced, keep
+    return np.linalg.eigvalsh(_density(state, keep, traced))
 
 
 def branch_outcomes(state: BranchState, system, fragment,
@@ -444,14 +448,11 @@ def branch_outcomes(state: BranchState, system, fragment,
     the outcome b: ``branch_density(state, system + fragment) * w w^H``
     with w = B_b^* R_F^T, row k of R_F being the Kronecker product of the
     fragment labels' kets k in layout order."""
-    layout = state.layout
-    system, fragment = layout.ordered(system), layout.ordered(fragment)
-    if layout.labels[0] not in system:
-        raise InvalidBipartition(
-            f"system {system} lacks the pointer label {layout.labels[0]!r}")
-    joint = branch_density(state, system + fragment)
+    layout, system = state.layout, _label_tuple(system)
+    joint = _density(state, system,
+                     layout.complement(system + _label_tuple(fragment)))
     frag = np.ones((state.amplitudes.size, 1))
-    for label in fragment:
+    for label in layout.ordered(fragment):
         frag = np.einsum("ki,kj->kij", frag, state.kets[layout.index(label)]
                          ).reshape(len(frag), -1)
     w = _basis_rows(basis, frag.shape[1]).conj() @ frag.T
@@ -481,8 +482,7 @@ def _phase_fix(columns: np.ndarray, firsts: np.ndarray) -> np.ndarray:
 
 def schmidt_decompose(state: PureState, left) -> SchmidtDecomposition:
     """Schmidt decomposition across the (left, complement) bipartition."""
-    left_ordered = state.layout.ordered(left)
-    right_ordered = state.layout.complement(left_ordered)
+    left_ordered, right_ordered = state.layout.split(left)
     if not left_ordered or not right_ordered:
         raise InvalidBipartition("both sides of the bipartition must be non-empty")
     u, s, vh = np.linalg.svd(matricize(state, left_ordered),
@@ -510,12 +510,10 @@ def schmidt_reconstruct(sd: SchmidtDecomposition,
                         layout: SpaceLayout) -> PureState:
     """Rebuild the state from a decomposition (for round-trip checks)."""
     mat = (sd.left_basis * sd.coefficients[np.newaxis, :]) @ sd.right_basis.T
-    dims_front = [layout.dim(l) for l in sd.left_labels] + \
-                 [layout.dim(l) for l in sd.right_labels]
-    arr = mat.reshape(dims_front)
-    perm = [list(sd.left_labels + sd.right_labels).index(l)
-            for l in layout.labels]
-    return PureState(layout, arr.transpose(perm).ravel())
+    front = sd.left_labels + sd.right_labels
+    arr = mat.reshape([layout.dim(l) for l in front])
+    arr = np.moveaxis(arr, range(len(front)), [layout.index(l) for l in front])
+    return PureState(layout, arr.ravel())
 
 
 def _basis_rows(basis, dim: int) -> np.ndarray:
@@ -536,8 +534,7 @@ def relative_states(state: PureState, left, basis):
     normalized PureState on the complement, or None when the coefficient
     magnitude falls below KERNEL_TOL (flagged zero rather than normalized).
     """
-    left_ordered = state.layout.ordered(left)
-    right_ordered = state.layout.complement(left_ordered)
+    left_ordered, right_ordered = state.layout.split(left)
     if not right_ordered:
         raise InvalidBipartition("left side covers the whole layout")
     bmat = _basis_rows(basis, state.layout.subdim(left_ordered))

@@ -414,6 +414,21 @@ class TestPlumbing:
         assert out == ""
         assert list(json.loads(err)["fields"]) == [field]
 
+    def test_denominator_cap_is_bounded(self, capsys):
+        # incommensurate: without the bound the scan would run to the cap
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "born", "--amplitudes",
+                                 "0.54030231,0.84147098", "--tolerance",
+                                 "1e-17", "--m-cap", str(10 ** 9))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["fields"] == {
+            "m_cap": "denominator cap must be <= 10^7"}
+        code, _, _ = run_cli(capsys, "born", "--amplitudes", "1,1",
+                             "--m-cap", str(10 ** 7))
+        assert code == 0
+
     def test_largest_bounds_denominator(self, capsys):
         code, out, _ = run_cli(capsys, "born", "--amplitudes", "0.6,0.8",
                                "--bounds-m", str(2 ** 53))
@@ -589,8 +604,8 @@ def test_system_entropy_gap_is_roundoff(capsys, argv):
 
 
 def test_system_entropy_gap_sees_a_kernel_fault(capsys, monkeypatch):
-    real = tensor_core.branch_density
+    real = tensor_core._density
     # the Gram product over the traced labels leaves out the apparatus
-    monkeypatch.setattr(tensor_core, "branch_density",
-                        lambda state, labels: real(state, [*labels, "A"]))
+    monkeypatch.setattr(tensor_core, "_density", lambda state, keep, traced:
+                        real(state, keep, [l for l in traced if l != "A"]))
     assert system_entropy_gap(capsys, IMPERFECT_REDUNDANCY) > 1e-3

@@ -68,6 +68,7 @@ def _report(r):
 CASES = {
     "ordered": lambda w: DENSE.layout.ordered(w("E1")),
     "complement": lambda w: DENSE.layout.complement(w("E1")),
+    "split": lambda w: DENSE.layout.split(w("E1")),
     "subdim": lambda w: DENSE.layout.subdim(w("E1")),
     "restrict": lambda w: DENSE.layout.restrict(w("E1")).subsystems,
     "matricize": lambda w: matricize(DENSE, w("E1")),
@@ -141,6 +142,35 @@ def test_bare_environment_is_one_subsystem():
 
 
 def test_first_unknown_label_is_named():
-    # the same label in every process, whatever the string hash seed
+    # the same label in every process, whatever the string hash seed;
+    # complement raised nothing and returned every label
+    layout = DENSE.layout
+    for resolve in (layout.ordered, layout.complement, layout.split):
+        with pytest.raises(errors.UnknownLabel, match="'X1'"):
+            resolve(["Sys", "X1", "X2", "X3", "X4", "X5", "X6"])
+
+
+def test_index_of_unknown_label():
+    # UnknownLabel, not the KeyError of the label->position dict
     with pytest.raises(errors.UnknownLabel, match="'X1'"):
-        DENSE.layout.ordered(["Sys", "X1", "X2", "X3", "X4", "X5", "X6"])
+        DENSE.layout.index("X1")
+
+
+@pytest.mark.parametrize("call, label_sets", [
+    (lambda: reduced_spectrum(BRANCH, ["Sys", "App"]), 1),
+    (lambda: reduced_spectrum(BRANCH, "E1"), 1),   # the other side reduced
+    (lambda: branch_density(BRANCH, ["Sys", "E2"]), 1),
+    (lambda: branch_outcomes(BRANCH, "Sys", ["E1", "E2"],
+                             np.kron(FOURIER, FOURIER)), 2),
+])
+def test_branch_kernels_resolve_each_label_set_once(monkeypatch, call,
+                                                    label_sets):
+    calls, real = [], SpaceLayout.split
+
+    def counting(layout, labels):
+        calls.append(labels)
+        return real(layout, labels)
+
+    monkeypatch.setattr(SpaceLayout, "split", counting)
+    call()
+    assert len(calls) == label_sets
