@@ -31,7 +31,6 @@ from .info_measures import (
     FragmentSpec,
     _entropy_bits,
     basis_conditioned_mutual_information,
-    mutual_information,
     redundancy_report,
 )
 from .measurement_models import BranchSpec, branch_records
@@ -146,7 +145,7 @@ def _run_einselect(cfg: ScenarioConfig) -> tuple[dict, dict]:
     # rho_SA vanishes off the branch kets |k>_S|k>_A
     mat = branch_density(state, ["S", "A"])
     offdiag = float(np.max(np.abs(mat - np.diag(np.diag(mat)))))
-    mi = mutual_information(state, FragmentSpec(("S", "A"), "E"))
+    mi = 2 * _entropy_bits(np.linalg.eigvalsh(mat))   # SAE pure: H(E)=H(SA)
     rows = [[k, float(abs(amps[k]) ** 2), offdiag, mi] for k in range(d)]
     tables = {"einselect": {
         "columns": ["branch_index", "population", "offdiag_max",
@@ -428,10 +427,12 @@ def config_from_args(args) -> ScenarioConfig:
     if args.config:
         try:
             with open(args.config) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
+                text = fh.read()
+        except (OSError, ValueError) as exc:    # ValueError: NUL, encoding
             raise ValidationFailure({"config": f"cannot read: {exc}"})
-        except json.JSONDecodeError as exc:
+        try:
+            doc = json.loads(text)
+        except (ValueError, RecursionError) as exc:
             raise ValidationFailure({"config": f"invalid JSON: {exc}"})
         if not isinstance(doc, dict):
             raise ValidationFailure({"config": "must be a JSON object"})

@@ -19,11 +19,12 @@ from .tensor_core import (
     BranchState,
     DensityOperator,
     PureState,
+    _basis_rows,
+    _grouped,
     _label_tuple,
     branch_outcomes,
     partial_trace,
     reduced_spectrum,
-    relative_states,
 )
 
 
@@ -121,22 +122,22 @@ def basis_conditioned_mutual_information(
 ) -> float:
     """H(S) minus the average post-measurement entropy of S.
 
-    The fragment is projected onto each basis vector; the conditional
-    state of the system is the renormalized remainder traced down to the
-    system labels (for a ``BranchState``, ``branch_outcomes``, so the
-    system must hold the pointer label).  Outcomes with probability below
-    ``KERNEL_TOL`` are skipped.
+    The fragment, its labels in layout order, is projected onto each
+    basis vector; the conditional state of the system is the remainder
+    traced down to the system labels (for a ``BranchState``,
+    ``branch_outcomes``, so the system must hold the pointer label).
+    Outcomes with probability below ``KERNEL_TOL`` are skipped.
     """
     hs = _entropy(state, split.system_labels)
     if isinstance(state, BranchState):
         outcomes = branch_outcomes(state, split.system_labels,
                                    split.fragment_labels, fragment_basis)
     else:
-        outcomes = [abs(c) ** 2 * partial_trace(partner,
-                                                split.system_labels).matrix
-                    for c, partner in relative_states(
-                        state, split.fragment_labels, fragment_basis)
-                    if partner is not None]
+        fragment = state.layout.ordered(split.fragment_labels)
+        arr, _ = _grouped(state, split.system_labels, fragment)
+        rows = _basis_rows(fragment_basis, arr.shape[1]).conj()
+        kept = np.einsum("bf,sfr->bsr", rows, arr)
+        outcomes = kept @ kept.conj().transpose(0, 2, 1)
     avg = 0.0
     for rho in outcomes:        # unnormalized, trace p_b
         p = np.trace(rho).real

@@ -31,8 +31,6 @@ from .tensor_core import (
     SpaceLayout,
     _label_tuple,
     _grouped,
-    attach_ready,
-    single_state,
 )
 
 
@@ -172,28 +170,19 @@ def conditional_probability(state: PureState, memory: str,
 def build_branch_state(spec: BranchSpec, apparatus: str | None = None,
                        environments=()) -> PureState:
     """System branch state, optionally pre-measured by an apparatus and
-    broadcast into environment subsystems."""
-    d = spec.pointer_dimension
-    out = single_state(spec.system_label, spec.amplitudes)
-    if apparatus is not None:
-        out = attach_ready(out, apparatus, d)
-        out = premeasure(out, spec.system_label, apparatus)
-    pointer = apparatus if apparatus is not None else spec.system_label
-    environments = _label_tuple(environments)
-    for env in environments:
-        out = attach_ready(out, env, d)
-    return broadcast_environment(out, pointer, environments,
-                                 spec.record_overlap)
+    broadcast into environment subsystems: ``branch_records``, dense."""
+    return branch_records(spec, apparatus, environments).dense()
 
 
 def branch_records(spec: BranchSpec, apparatus: str | None = None,
                    environments=()) -> BranchState:
-    """The state ``build_branch_state`` builds, as its branch structure.
+    """The branch state: the ``spec``'s amplitudes, pre-measured by an
+    ``apparatus`` and broadcast into ``environments``.
 
     The system and the apparatus hold the pointer value itself (kets =
     identity); each environment holds the ``record_states`` kets at the
-    spec's overlap.  The layout is the same nominal space, so the
-    dimension guard applies to its full dimension.
+    spec's overlap.  The layout is the nominal space, so the dimension
+    guard applies to its full dimension.
     """
     d = spec.pointer_dimension
     environments = _label_tuple(environments)

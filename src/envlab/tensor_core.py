@@ -127,7 +127,8 @@ class SpaceLayout:
         return self.split(labels)[0]
 
     def restrict(self, labels) -> "SpaceLayout":
-        return SpaceLayout([(l, self.dim(l)) for l in self.ordered(labels)])
+        """The layout over ``labels``, in the order given."""
+        return SpaceLayout([(l, self.dim(l)) for l in _label_tuple(labels)])
 
     def subdim(self, labels) -> int:
         return math.prod(self.dim(l) for l in _label_tuple(labels))
@@ -208,6 +209,25 @@ class BranchState:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "kets", tables)
         object.__setattr__(self, "grams", g)
+
+    def _rows(self, labels) -> np.ndarray:
+        """Row k: the Kronecker product of the ``labels``' kets k, in the
+        order given."""
+        rows = np.ones((self.amplitudes.size, 1))
+        for label in labels:
+            rows = np.einsum("ki,kj->kij", rows,
+                             self.kets[self.layout.index(label)]
+                             ).reshape(len(rows), -1)
+        return rows
+
+    def dense(self) -> PureState:
+        """The amplitude vector: the pointer kets are |k>, so block k is a_k
+        times row k of the other labels' kets, and blocks past n are 0."""
+        rows = self._rows(self.layout.labels[1:])
+        out = np.zeros((self.layout.dims[0], rows.shape[1]), dtype=complex)
+        out[:len(rows)] = self.amplitudes[:, np.newaxis] * rows
+        out += 0.0                      # a_k * 0 may be -0.0
+        return PureState(self.layout, out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,9 +329,8 @@ def schmidt_state(amplitudes, env_dim: int) -> PureState:
     d = amps.size
     if env_dim < d:
         raise DimensionMismatch(f"environment dimension {env_dim} < {d}")
-    mat = np.zeros((d, env_dim), dtype=complex)
-    mat[np.arange(d), np.arange(d)] = amps
-    return PureState(SpaceLayout([("S", d), ("E", env_dim)]), mat.ravel())
+    return BranchState(SpaceLayout([("S", d), ("E", env_dim)]), amps,
+                       [np.eye(d), np.eye(d, env_dim)]).dense()
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +357,8 @@ def _grouped(state: PureState, *label_groups):
     order; with them, the map taking an array of that shape back to a
     PureState."""
     layout = state.layout
-    front = sum(map(_label_tuple, label_groups), ())
-    order = [layout.index(l) for l in front + layout.complement(front)]
+    front = [layout.index(l) for l in sum(map(_label_tuple, label_groups), ())]
+    order = front + [i for i in range(len(layout.dims)) if i not in front]
     moved = state.tensor().transpose(order)
     shape = [layout.subdim(g) for g in label_groups] + [-1]
 
@@ -451,10 +470,7 @@ def branch_outcomes(state: BranchState, system, fragment,
     layout, system = state.layout, _label_tuple(system)
     joint = _density(state, system,
                      layout.complement(system + _label_tuple(fragment)))
-    frag = np.ones((state.amplitudes.size, 1))
-    for label in layout.ordered(fragment):
-        frag = np.einsum("ki,kj->kij", frag, state.kets[layout.index(label)]
-                         ).reshape(len(frag), -1)
+    frag = state._rows(layout.ordered(fragment))
     w = _basis_rows(basis, frag.shape[1]).conj() @ frag.T
     return joint * (w[:, :, np.newaxis] * w[:, np.newaxis, :].conj())
 

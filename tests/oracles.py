@@ -4,8 +4,10 @@ Everything here is written as explicit index loops or full Kronecker
 builds so the production code paths are checked against a second,
 structurally different computation.  The counting oracles keep the
 one-candidate-at-a-time denominator scan and the dense fine-grained
-state that the library's structured counting path replaces.  The
-comparison-state builder realizes the endpoints of the rational bounds.
+state that the library's structured counting path replaces, and the
+branch-state builder keeps the gate chain that ``BranchState.dense``
+replaces.  The comparison-state builder realizes the endpoints of the
+rational bounds.
 """
 import numpy as np
 
@@ -16,7 +18,30 @@ from envlab.envariance import (
     equal_amplitude_probabilities,
     fine_grain,
 )
-from envlab.tensor_core import schmidt_decompose
+from envlab.measurement_models import broadcast_environment, premeasure
+from envlab.tensor_core import (
+    _label_tuple,
+    attach_ready,
+    schmidt_decompose,
+    single_state,
+)
+
+
+def build_branch_state(spec, apparatus=None, environments=()):
+    """The branch state of ``spec`` built gate by gate: the system state,
+    a ready apparatus pre-measuring it, then ready environments each
+    written by the pointer's record map."""
+    d = spec.pointer_dimension
+    out = single_state(spec.system_label, spec.amplitudes)
+    if apparatus is not None:
+        out = attach_ready(out, apparatus, d)
+        out = premeasure(out, spec.system_label, apparatus)
+    pointer = apparatus if apparatus is not None else spec.system_label
+    environments = _label_tuple(environments)
+    for env in environments:
+        out = attach_ready(out, env, d)
+    return broadcast_environment(out, pointer, environments,
+                                 spec.record_overlap)
 
 
 def outer_product_oracle(a, b):

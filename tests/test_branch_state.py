@@ -1,11 +1,11 @@
 """The branch-structured path against the dense one it replaces.
 
-``branch_records`` keeps the state build_branch_state builds as pointer
-amplitudes plus one table of record kets per label; every entropy,
-mutual information, redundancy ratio, rho_SA coherence and
-basis-conditioned information read from it must match the dense state
-reduced by ``partial_trace`` (or measured by ``relative_states``)
-within 1e-10.
+``branch_records`` keeps the state that the gate-chain oracle
+``oracles.build_branch_state`` builds as pointer amplitudes plus one
+table of record kets per label; every entropy, mutual information,
+redundancy ratio, rho_SA coherence and basis-conditioned information
+read from it must match the dense state reduced by ``partial_trace``
+(or measured on its amplitudes) within 1e-10.
 """
 from functools import reduce
 
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from envlab import errors
+from envlab import errors, measurement_models
 from envlab.info_measures import (
     FragmentSpec,
     _entropy,
@@ -24,7 +24,6 @@ from envlab.info_measures import (
 from envlab.measurement_models import (
     BranchSpec,
     branch_records,
-    build_branch_state,
     record_states,
 )
 from envlab.tensor_core import (
@@ -35,6 +34,7 @@ from envlab.tensor_core import (
     partial_trace,
     reduced_spectrum,
 )
+from oracles import build_branch_state
 
 TOL = 1e-10
 
@@ -115,12 +115,37 @@ AMPLITUDES = {
 }
 
 
-@pytest.mark.parametrize("overlap", [0.0, 0.3, 0.9])
+OVERLAPS = [0.0, 0.3, 0.9]
+SIZES = [(2, 1), (2, 3), (2, 10), (3, 1), (3, 3), (3, 8)]
+
+
+@pytest.mark.parametrize("overlap", OVERLAPS)
 @pytest.mark.parametrize("kind", ["real", "complex"])
-@pytest.mark.parametrize("d, n_env", [(2, 1), (2, 3), (2, 10),
-                                      (3, 1), (3, 3), (3, 8)])
+@pytest.mark.parametrize("d, n_env", SIZES)
 def test_branch_path_matches_dense(d, n_env, kind, overlap):
     assert_paths_agree(AMPLITUDES[d][kind], n_env, overlap)
+
+
+def test_oracle_builds_without_the_branch_path(monkeypatch):
+    """The gate chain stays a second computation: with the branch path
+    refused, it builds every state of the grid, and they equal the
+    library's dense view."""
+    grid = [(BranchSpec("S", d, AMPLITUDES[d][kind], overlap),
+             [f"E{i + 1}" for i in range(n_env)])
+            for d, n_env in SIZES for kind in AMPLITUDES[d]
+            for overlap in OVERLAPS]
+    want = [branch_records(spec, "A", envs).dense() for spec, envs in grid]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle used the branch path")
+
+    monkeypatch.setattr(measurement_models, "branch_records", refuse)
+    monkeypatch.setattr(BranchState, "dense", refuse)
+    for (spec, envs), dense in zip(grid, want):
+        got = build_branch_state(spec, "A", envs)
+        assert got.layout == dense.layout
+        np.testing.assert_allclose(got.amplitudes, dense.amplitudes,
+                                   rtol=0, atol=1e-15)
 
 
 @st.composite
@@ -192,6 +217,9 @@ def test_general_kets_match_the_dense_state():
     branch = BranchState(layout, amps, kets)
     dense = PureState(layout, sum(a * reduce(np.kron, [r[k] for r in kets])
                                   for k, a in enumerate(amps)))
+    assert branch.dense().layout == layout
+    np.testing.assert_allclose(branch.dense().amplitudes, dense.amplitudes,
+                               rtol=0, atol=1e-12)
     for labels in [("S",), ("E1",), ("E2", "E3"), ("S", "E2")]:
         want = dense_spectrum(dense, labels)
         got = reduced_spectrum(branch, labels)[::-1][:want.size]

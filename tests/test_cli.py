@@ -14,11 +14,8 @@ from envlab.info_measures import (
     FragmentSpec,
     basis_conditioned_mutual_information,
 )
-from envlab.measurement_models import (
-    BranchSpec,
-    build_branch_state,
-    cascade_environment,
-)
+from envlab.measurement_models import BranchSpec, cascade_environment
+from oracles import build_branch_state
 
 
 def run_cli(capsys, *argv):
@@ -515,9 +512,17 @@ class TestPlumbing:
         assert code == 0
         assert len(parse_tables(out)["redundancy"]["rows"]) == 4
 
-    def test_bad_config_json(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("{not json")
+    @pytest.mark.parametrize("name, content", [
+        ("cfg.json", b"{not json"),
+        ("cfg.json", b"\xff\xfe{}"),                         # not UTF-8
+        ("cfg.json", b'{"amplitudes": ' + b"1" * 4301 + b"}"),  # int digits
+        ("cfg.json", b"[" * 100000 + b"]" * 100000),          # nesting depth
+        ("cfg\0.json", None),                                 # NUL in path
+    ], ids=["malformed", "not_utf8", "long_int", "deep", "nul_path"])
+    def test_bad_config_json(self, capsys, tmp_path, name, content):
+        cfg = tmp_path / name
+        if content is not None:
+            cfg.write_bytes(content)
         code, _, err = run_cli(
             capsys, "born", "--config", str(cfg))
         assert code == 2

@@ -162,6 +162,16 @@ def test_index_of_unknown_label():
     (lambda: branch_density(BRANCH, ["Sys", "E2"]), 1),
     (lambda: branch_outcomes(BRANCH, "Sys", ["E1", "E2"],
                              np.kron(FOURIER, FOURIER)), 2),
+    pytest.param(lambda: partial_trace(DENSE, ["Sys", "E1"]), 1,
+                 id="partial_trace"),
+    pytest.param(lambda: schmidt_decompose(DENSE, "Sys"), 1,
+                 id="schmidt_decompose"),
+    pytest.param(lambda: relative_states(DENSE, "E1", np.eye(2)), 1,
+                 id="relative_states"),
+    # H(S), then the fragment in layout order
+    pytest.param(lambda: basis_conditioned_mutual_information(
+        DENSE, FragmentSpec("Sys", ["E2", "E1"]), np.eye(4)), 2,
+        id="basis_conditioned_dense"),
 ])
 def test_branch_kernels_resolve_each_label_set_once(monkeypatch, call,
                                                     label_sets):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,33 @@ class TestLayoutAndState:
                                       [0.6, 0, 0, 0, 0.8j, 0])
         with pytest.raises(errors.DimensionMismatch):
             schmidt_state([0.6, 0.8], 1)
+
+    @pytest.mark.parametrize("amps, env_dim", [
+        ([0.6, 0.8], 2), ([0.6, -0.8], 4), ([0.6, 0.8j], 3),
+        ([0.5, -0.3 + 0.7j, -0.1j, -0.4], 5), ([0, -1], 2),
+        ([0.6, 0, -0.8], 3), ([-1], 1), ([0, 0, -1j], 4),
+    ])
+    def test_schmidt_state_is_the_diagonal_embedding(self, amps, env_dim):
+        amps = np.asarray(amps, dtype=complex) / np.linalg.norm(amps)
+        d = amps.size
+        mat = np.zeros((d, env_dim), dtype=complex)   # the embedding by hand
+        mat[np.arange(d), np.arange(d)] = amps
+        got = schmidt_state(amps, env_dim).amplitudes
+        # bit for bit, except that a -0.0 part (as in -1j) is stored as 0.0
+        assert got.tobytes() == (mat.ravel() + 0.0).tobytes()
+
+    def test_schmidt_state_peak_memory_is_a_few_states(self):
+        # dense() forms no n x D array over every label
+        d = 256
+        amps = np.full(d, d ** -0.5)
+        schmidt_state(amps, d)
+        tracemalloc.start()
+        try:
+            state = schmidt_state(amps, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * state.amplitudes.nbytes
 
 
 class TestTensorProduct:
