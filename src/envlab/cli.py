@@ -20,6 +20,7 @@ import numpy as np
 
 from . import errors
 from .envariance import (
+    COUNT_TOL,
     DEFAULT_M_CAP,
     bound_spectrum,
     count_spectrum,
@@ -44,8 +45,6 @@ from .tensor_core import (
     schmidt_state,
 )
 
-SCENARIOS = ("einselect", "redundancy", "born", "envariance", "cascade")
-
 EXIT_VALIDATION = 2
 EXIT_DIM_GUARD = 3
 EXIT_IO = 4
@@ -66,7 +65,7 @@ class ScenarioConfig:
     env_count: int = 8
     overlap: float = 0.0
     m_cap: int = DEFAULT_M_CAP
-    tolerance: float = 1e-10
+    tolerance: float = COUNT_TOL
     bounds_m: list[int] = field(default_factory=list)
     out: str | None = None
     format: str = "csv"
@@ -103,7 +102,7 @@ class ScenarioConfig:
             bad["bounds_m"] = "bounding denominators must be <= 2^53"
         if self.format not in ("csv", "json"):
             bad["format"] = f"unknown format {self.format!r}"
-        if self.kind in ("einselect", "redundancy", "cascade", "envariance") \
+        if self.kind in SCENARIOS and self.kind != "born" \
                 and len(self.amplitudes) < 2:
             bad["amplitudes"] = "scenario needs at least two amplitudes"
         try:
@@ -135,7 +134,7 @@ def _fmt(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# scenario pipelines
+# scenario pipelines: each returns ({table name: rows}, residuals)
 
 def _run_einselect(cfg: ScenarioConfig) -> tuple[dict, dict]:
     amps = cfg.unit_amplitudes()
@@ -147,13 +146,8 @@ def _run_einselect(cfg: ScenarioConfig) -> tuple[dict, dict]:
     offdiag = float(np.max(np.abs(mat - np.diag(np.diag(mat)))))
     mi = 2 * _entropy_bits(np.linalg.eigvalsh(mat))   # SAE pure: H(E)=H(SA)
     rows = [[k, float(abs(amps[k]) ** 2), offdiag, mi] for k in range(d)]
-    tables = {"einselect": {
-        "columns": ["branch_index", "population", "offdiag_max",
-                    "mi_sae_bits"],
-        "rows": rows,
-    }}
     norm_gap = float(abs(np.linalg.norm(state.amplitudes) - 1.0))
-    return tables, {"global_norm_gap": norm_gap}
+    return {"einselect": rows}, {"global_norm_gap": norm_gap}
 
 
 def _run_redundancy(cfg: ScenarioConfig) -> tuple[dict, dict]:
@@ -164,18 +158,13 @@ def _run_redundancy(cfg: ScenarioConfig) -> tuple[dict, dict]:
     envs = [f"E{i + 1}" for i in range(cfg.env_count)]
     state = branch_records(spec, apparatus="A", environments=envs)
     report = redundancy_report(state, "S", envs)
-    rows = [[i, mi, cum, ratio] for i, mi, cum, ratio in report.rows()]
-    tables = {"redundancy": {
-        "columns": ["fragment_index", "mi_bits", "cumulative_bits", "ratio"],
-        "rows": rows,
-    }}
     # A holds a perfect record, so rho_S = diag(|a_k|^2)
     residuals = {
         "system_entropy_gap": abs(report.system_entropy
                                   - _entropy_bits(np.abs(amps) ** 2)),
         "system_entropy_bits": report.system_entropy,
     }
-    return tables, residuals
+    return {"redundancy": report.rows()}, residuals
 
 
 def _run_born(cfg: ScenarioConfig) -> tuple[dict, dict]:
@@ -188,24 +177,16 @@ def _run_born(cfg: ScenarioConfig) -> tuple[dict, dict]:
     except errors.UseBoundsInstead:
         bounds_m = bounds_m or [100, 1000, 10000]
     else:
-        rows = [[k, counted[k], probs[k], abs(counted[k] - probs[k])]
-                for k in range(probs.size)]
-        tables["born"] = {
-            "columns": ["outcome_index", "p_counting",
-                        "p_amplitude_squared", "abs_gap"],
-            "rows": rows,
-        }
-        residuals["max_abs_gap"] = float(np.max(np.abs(counted - probs)))
+        gaps = np.abs(counted - probs)
+        tables["born"] = list(zip(range(probs.size), counted, probs, gaps))
+        residuals["max_abs_gap"] = float(np.max(gaps))
     if bounds_m:
         rows = []
         for bm in bounds_m:
             bound = bound_spectrum(probs, bm)
             rows += [[bm, k, bound.lower[k], bound.upper[k], bound.widths[k]]
                      for k in range(probs.size)]
-        tables["bounds"] = {
-            "columns": ["m_used", "outcome_index", "lower", "upper", "width"],
-            "rows": rows,
-        }
+        tables["bounds"] = rows
         residuals["max_bound_width"] = max(r[4] for r in rows)
     return tables, residuals
 
@@ -228,14 +209,9 @@ def _run_envariance(cfg: ScenarioConfig) -> tuple[dict, dict]:
         verdict = is_envariant(state, u, "E")
         rows.append([name, int(verdict.envariant), verdict.residual,
                      verdict.witness_trace_distance])
-    tables = {"envariance": {
-        "columns": ["test", "envariant", "residual",
-                    "witness_trace_distance"],
-        "rows": rows,
-    }}
     residuals = {"max_true_residual": max(
         (r[2] for r in rows if r[1]), default=0.0)}
-    return tables, residuals
+    return {"envariance": rows}, residuals
 
 
 def _run_cascade(cfg: ScenarioConfig) -> tuple[dict, dict]:
@@ -260,13 +236,8 @@ def _run_cascade(cfg: ScenarioConfig) -> tuple[dict, dict]:
         mi_conj = basis_conditioned_mutual_information(
             state, split, conjugate_basis)
         rows.append([i, mi_ptr, mi_conj])
-    tables = {"cascade": {
-        "columns": ["fragment_index", "pointer_basis_mi_bits",
-                    "conjugate_basis_mi_bits"],
-        "rows": rows,
-    }}
     residuals = {"max_conjugate_mi": max((r[2] for r in rows), default=0.0)}
-    return tables, residuals
+    return {"cascade": rows}, residuals
 
 
 _PIPELINES = {
@@ -276,12 +247,26 @@ _PIPELINES = {
     "envariance": _run_envariance,
     "cascade": _run_cascade,
 }
+SCENARIOS = tuple(_PIPELINES)
+
+# each table's header, whichever scenario emits it
+_COLUMNS = {
+    "einselect": ("branch_index", "population", "offdiag_max", "mi_sae_bits"),
+    "redundancy": ("fragment_index", "mi_bits", "cumulative_bits", "ratio"),
+    "born": ("outcome_index", "p_counting", "p_amplitude_squared", "abs_gap"),
+    "bounds": ("m_used", "outcome_index", "lower", "upper", "width"),
+    "envariance": ("test", "envariant", "residual", "witness_trace_distance"),
+    "cascade": ("fragment_index", "pointer_basis_mi_bits",
+                "conjugate_basis_mi_bits"),
+}
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     cfg.validate()
     start = time.perf_counter()
     tables, residuals = _PIPELINES[cfg.kind](cfg)
+    tables = {name: {"columns": list(_COLUMNS[name]), "rows": rows}
+              for name, rows in tables.items()}
     return RunResult(cfg, tables, residuals, time.perf_counter() - start)
 
 
@@ -310,10 +295,7 @@ def render_json(result: RunResult) -> str:
             "tolerance": result.config.tolerance,
         },
         "tables": {
-            name: {
-                "columns": t["columns"],
-                "rows": [[_fmt(x) for x in row] for row in t["rows"]],
-            }
+            name: {**t, "rows": [[_fmt(x) for x in r] for r in t["rows"]]}
             for name, t in result.tables.items()
         },
         "residuals": {k: _fmt(v) for k, v in result.residuals.items()},
@@ -374,24 +356,23 @@ def build_parser() -> argparse.ArgumentParser:
     for kind in SCENARIOS:
         p = sub.add_parser(kind)
         p.add_argument("--config", help="JSON config document")
-        p.add_argument("--amplitudes",
-                       help="comma- or space-separated branch amplitudes")
-        p.add_argument("--env-count")
-        p.add_argument("--overlap")
-        p.add_argument("--m-cap")
-        p.add_argument("--tolerance")
-        p.add_argument("--bounds-m", help="denominators for interval bounding")
-        p.add_argument("--out", help="output path ('-' = stdout)")
-        p.add_argument("--format", help="csv or json")
+        for key, (_, _, text) in _FIELDS.items():
+            p.add_argument("--" + key.replace("_", "-"), help=text)
     return parser
 
 
-# per field a flag or the config document may set: (item type, is a list);
-# fields left unset take ScenarioConfig's defaults
-_FIELDS = {"amplitudes": (float, True), "env_count": (int, False),
-           "overlap": (float, False), "m_cap": (int, False),
-           "tolerance": (float, False), "bounds_m": (int, True),
-           "out": (str, False), "format": (str, False)}
+# per field that a flag (--env-count for env_count) or the config may set:
+# (item type, is a list, flag help); unset ones take ScenarioConfig's defaults
+_FIELDS = {
+    "amplitudes": (float, True, "comma- or space-separated branch amplitudes"),
+    "env_count": (int, False, None),
+    "overlap": (float, False, None),
+    "m_cap": (int, False, None),
+    "tolerance": (float, False, None),
+    "bounds_m": (int, True, "denominators for interval bounding"),
+    "out": (str, False, "output path ('-' = stdout)"),
+    "format": (str, False, "csv or json"),
+}
 
 # item type -> (JSON value types it accepts, description)
 _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
@@ -400,7 +381,7 @@ _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
 
 def _convert(key: str, value, from_flag: bool):
     """Field value from flag text or from a JSON config value."""
-    kind, is_list = _FIELDS[key]
+    kind, is_list, _ = _FIELDS[key]
     accepted, what = _JSON_TYPES[kind]
 
     def item(x):

@@ -39,6 +39,8 @@ from .tensor_core import (
 )
 
 DEFAULT_M_CAP = 10 ** 4
+COUNT_TOL = 1e-10        # default counting tolerance |p_k - m_k / M|
+ROUND_SLACK = 1e-9       # fine-graining plans and rational-bound rounding
 _SCAN_BLOCK = 1024       # denominator candidates tested per numpy pass
 
 
@@ -68,9 +70,10 @@ class FineGrainingPlan:
     counts: tuple[int, ...]
     system_labels: tuple[str, ...]
     ancilla_label: str
-    tolerance: float = 1e-9
+    tolerance: float = ROUND_SLACK
 
-    def __init__(self, counts, system_labels, ancilla_label, tolerance=1e-9):
+    def __init__(self, counts, system_labels, ancilla_label,
+                 tolerance=ROUND_SLACK):
         counts = tuple(int(c) for c in counts)
         if any(c < 1 for c in counts):
             raise PlanMismatch("all fine-graining counts must be >= 1")
@@ -281,6 +284,8 @@ def find_commensurate_denominator(probs, tolerance: float,
     candidate in a block gets the float operations of a one-by-one scan."""
     probs = np.asarray(probs, dtype=float).ravel()
     n = probs.size
+    if n == 0:
+        raise UseBoundsInstead("an empty spectrum has no counting denominator")
     for start in range(n, m_cap + 1, _SCAN_BLOCK):
         ms = np.arange(start, min(start + _SCAN_BLOCK, m_cap + 1))
         counts = np.rint(probs[:, np.newaxis] * ms).astype(int)
@@ -327,13 +332,13 @@ def bound_spectrum(probs, m: int) -> ProbabilityBound:
     if m < n:
         raise MTooSmall(f"M = {m} below the number of outcomes {n}")
     scaled = np.where(present, probs * m, 0.0)
-    lower_counts = np.clip(np.floor(scaled + 1e-9).astype(int), 0, m)
-    upper_counts = np.clip(np.ceil(scaled - 1e-9).astype(int), 0, m)
+    lower_counts = np.clip(np.floor(scaled + ROUND_SLACK).astype(int), 0, m)
+    upper_counts = np.clip(np.ceil(scaled - ROUND_SLACK).astype(int), 0, m)
     return ProbabilityBound(lower=lower_counts / m, upper=upper_counts / m,
                             m_used=m)
 
 
-def born_probabilities(state: PureState, system, tolerance: float = 1e-10,
+def born_probabilities(state: PureState, system, tolerance: float = COUNT_TOL,
                        m_cap: int = DEFAULT_M_CAP) -> np.ndarray:
     """Outcome probabilities by fine-graining and counting equal terms:
     ``count_spectrum`` of the squared Schmidt coefficients, in pointer

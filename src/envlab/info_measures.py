@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OverlappingSplit, UndefinedRatio
+from .errors import LayoutMismatch, OverlappingSplit, UndefinedRatio
 from .tensor_core import (
     KERNEL_TOL,
     BranchState,
@@ -147,6 +147,8 @@ def basis_conditioned_mutual_information(
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
-    """0.5 * sum |eig(a - b)|."""
+    """0.5 * sum |eig(a - b)|, for two operators on one layout."""
+    if a.layout != b.layout:
+        raise LayoutMismatch(f"{a.layout.labels} vs {b.layout.labels}")
     diff = a.matrix - b.matrix
     return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())

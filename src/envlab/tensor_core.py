@@ -189,8 +189,11 @@ class BranchState:
     def __init__(self, layout: SpaceLayout, amplitudes, kets):
         amps = _freeze(np.asarray(amplitudes).ravel())
         n = amps.size
-        # copies, in float unless complex
-        tables = tuple(np.asarray(r) * 1.0 for r in kets)
+        kets = tuple(kets)      # held, so each id names one table throughout
+        # one copy (float unless complex) and one Gram per distinct table
+        copies = {i: np.asarray(r) * 1.0
+                  for i, r in {id(r): r for r in kets}.items()}
+        tables = tuple(copies[id(r)] for r in kets)
         if [r.shape for r in tables] != [(n, d) for d in layout.dims]:
             raise ValueError(f"record ket tables {[r.shape for r in tables]}"
                              f" != ({n}, d_j) for dims {layout.dims}")
@@ -199,7 +202,8 @@ class BranchState:
             raise NotNormalized(f"norm {nrm} differs from 1 beyond {STATE_TOL}")
         if np.max(np.abs(tables[0] - np.eye(*tables[0].shape))) > STATE_TOL:
             raise InvalidDensity("the pointer label's kets are not the identity")
-        g = np.array([r @ r.conj().T for r in tables])
+        grams = {i: r @ r.conj().T for i, r in copies.items()}
+        g = np.array([grams[id(r)] for r in kets])
         if np.max(np.abs(np.diagonal(g, axis1=1, axis2=2) - 1.0)) > STATE_TOL:
             raise InvalidDensity("a record ket is not a unit vector")
         g[:, np.arange(n), np.arange(n)] = 1.0

@@ -263,3 +263,23 @@ def test_grams_are_derived_from_the_kets():
     with pytest.raises(ValueError):         # kets of the wrong dimension
         BranchState(SpaceLayout([("S", 3), ("E", 4)]), unit([1, 1, 1]),
                     [np.eye(3), kets])
+
+
+def test_a_table_passed_for_several_labels_is_copied_once():
+    recs = record_states(2, 2, 0.3)
+    state = branch_records(BranchSpec("S", 2, unit([3, 4]), 0.3), "A",
+                           ["E1", "E2", "E3"])
+    assert state.kets[0] is state.kets[1]
+    assert state.kets[2] is state.kets[3] is state.kets[4]
+    assert not state.kets[2].flags.writeable
+    np.testing.assert_array_equal(state.kets[2], recs)
+    gram = recs @ recs.T
+    np.fill_diagonal(gram, 1.0)
+    np.testing.assert_array_equal(state.grams, [np.eye(2)] * 2 + [gram] * 3)
+    # tables made one at a time stay apart, each with its own Gram
+    layout = SpaceLayout([("S", 2), ("E1", 2), ("E2", 2)])
+    state = BranchState(layout, unit([3, 4]),
+                        (record_states(2, 2, c) for c in (0.0, 0.3, 0.9)))
+    for j, c in enumerate((0.0, 0.3, 0.9)):
+        np.testing.assert_array_equal(state.kets[j], record_states(2, 2, c))
+    assert state.grams[1, 0, 1] != state.grams[2, 0, 1]

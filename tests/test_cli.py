@@ -576,6 +576,30 @@ def test_overlap_example_matches_golden_csv(capsys, name):
     assert out == (GOLDEN / f"{name}.csv").read_text()
 
 
+@pytest.mark.parametrize("name", ["envlab", "einselect", "redundancy", "born",
+                                  "envariance", "cascade"])
+def test_help_text_matches_golden(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")     # argparse wraps to the terminal
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"] if name == "envlab" else [name, "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == (GOLDEN / f"help_{name}.txt").read_text()
+
+
+def test_each_table_has_one_header_in_csv_and_json(capsys):
+    emitted = set()
+    for argv in README_EXAMPLES.values():
+        _, out, _ = run_cli(capsys, *argv)
+        _, doc, _ = run_cli(capsys, *argv, "--format", "json")
+        from_csv, from_json = parse_tables(out), json.loads(doc)["tables"]
+        assert list(from_json) == list(from_csv)
+        for name, table in from_json.items():
+            assert table["columns"] == from_csv[name]["columns"] \
+                == list(cli._COLUMNS[name])
+        emitted |= set(from_csv)
+    assert emitted == set(cli._COLUMNS)
+
+
 def test_records_scenarios_build_no_dense_state(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a dense state or reduction was built")

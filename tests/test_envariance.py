@@ -608,6 +608,12 @@ class TestSpectrumKernels:
         with pytest.raises(errors.MTooSmall):
             bound_spectrum([0.0, 0.36, 0.64], 1)
 
+    def test_empty_spectrum_uses_bounds(self):
+        with pytest.raises(errors.UseBoundsInstead):
+            find_commensurate_denominator([], 1e-10, 10)
+        with pytest.raises(errors.UseBoundsInstead):
+            count_spectrum([], 1e-10, 10, 10)
+
     def test_zero_outcome_has_no_count(self):
         with pytest.raises(errors.UseBoundsInstead):
             count_spectrum([0.0, 0.36, 0.64], 1e-10, DEFAULT_M_CAP,

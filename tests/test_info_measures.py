@@ -10,7 +10,11 @@ from envlab.info_measures import (
     trace_distance,
     von_neumann_entropy,
 )
-from envlab.measurement_models import BranchSpec, build_branch_state
+from envlab.measurement_models import (
+    BranchSpec,
+    branch_records,
+    build_branch_state,
+)
 from envlab.tensor_core import (
     DensityOperator,
     PureState,
@@ -177,3 +181,11 @@ class TestTraceDistance:
             basis_state(SpaceLayout([("S", 2), ("E", 2)]), [1, 0]), ["S"])
         assert abs(trace_distance(rho0, rho1) - 1.0) < 1e-12
         assert trace_distance(rho0, rho0) < 1e-15
+
+    @pytest.mark.parametrize("other", [["S", "A"], "A"])
+    def test_operators_on_different_layouts_are_rejected(self, other):
+        # ["S", "A"] has another shape; "A" has S's shape on another label
+        psi = branch_records(BranchSpec("S", 2, [0.6, 0.8], 0.3), "A",
+                             ["E1", "E2"]).dense()
+        with pytest.raises(errors.LayoutMismatch):
+            trace_distance(partial_trace(psi, "S"), partial_trace(psi, other))
