@@ -25,6 +25,7 @@ from .envariance import (
     bound_spectrum,
     count_spectrum,
     is_envariant,
+    present_outcomes,
     schmidt_phase_unitary,
     schmidt_swap_unitary,
 )
@@ -100,6 +101,11 @@ class ScenarioConfig:
             bad["bounds_m"] = "bounding denominators must be >= 1"
         elif max(self.bounds_m, default=0) > 2 ** 53:  # p*M and counts exact
             bad["bounds_m"] = "bounding denominators must be <= 2^53"
+        elif self.bounds_m and self.kind == "born" and "amplitudes" not in bad:
+            n = np.count_nonzero(present_outcomes(self.probabilities()))
+            if min(self.bounds_m) < n:
+                bad["bounds_m"] = ("bounding denominators must be >= the "
+                                   f"number of outcomes {n}")
         if self.format not in ("csv", "json"):
             bad["format"] = f"unknown format {self.format!r}"
         if self.kind in SCENARIOS and self.kind != "born" \
@@ -115,6 +121,9 @@ class ScenarioConfig:
     def unit_amplitudes(self) -> np.ndarray:
         a = np.asarray(self.amplitudes, dtype=complex)
         return a / np.linalg.norm(a)
+
+    def probabilities(self) -> np.ndarray:
+        return np.abs(self.unit_amplitudes()) ** 2
 
 
 @dataclass
@@ -170,7 +179,7 @@ def _run_redundancy(cfg: ScenarioConfig) -> tuple[dict, dict]:
 def _run_born(cfg: ScenarioConfig) -> tuple[dict, dict]:
     # the amplitudes are Schmidt coefficients in pointer order already; the
     # fine-graining environment needs room for M <= m_cap records
-    probs = np.abs(cfg.unit_amplitudes()) ** 2
+    probs = cfg.probabilities()
     tables, residuals, bounds_m = {}, {}, cfg.bounds_m
     try:
         counted = count_spectrum(probs, cfg.tolerance, cfg.m_cap, cfg.m_cap)

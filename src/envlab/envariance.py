@@ -319,6 +319,12 @@ def count_spectrum(probs, tolerance: float, m_cap: int,
     return np.array([np.full(mk, 1.0 / m).sum() for mk in counts])
 
 
+def present_outcomes(probs) -> np.ndarray:
+    """Mask of the outcomes with a Schmidt term, amplitude above
+    KERNEL_TOL: those that count against a bounding M."""
+    return np.sqrt(np.asarray(probs, dtype=float).ravel()) > KERNEL_TOL
+
+
 def bound_spectrum(probs, m: int) -> ProbabilityBound:
     """Intervals [floor(pM)/M, ceil(pM)/M] per outcome, in the spectrum's
     order, with counts clipped to [0, M] (a spectrum may sum to just above
@@ -327,7 +333,7 @@ def bound_spectrum(probs, m: int) -> ProbabilityBound:
     amplitude at most KERNEL_TOL has no Schmidt term: it gets [0, 0] and
     does not count against M."""
     probs = np.asarray(probs, dtype=float).ravel()
-    present = np.sqrt(probs) > KERNEL_TOL
+    present = present_outcomes(probs)
     n = int(np.count_nonzero(present))
     if m < n:
         raise MTooSmall(f"M = {m} below the number of outcomes {n}")

@@ -20,6 +20,7 @@ from .tensor_core import (
     DensityOperator,
     PureState,
     _basis_rows,
+    _check_pointer,
     _grouped,
     _label_tuple,
     branch_outcomes,
@@ -126,24 +127,42 @@ def basis_conditioned_mutual_information(
     basis vector; the conditional state of the system is the remainder
     traced down to the system labels (for a ``BranchState``,
     ``branch_outcomes``, so the system must hold the pointer label).
-    Outcomes with probability below ``KERNEL_TOL`` are skipped.
+    Outcomes with probability below ``KERNEL_TOL`` are skipped.  On a
+    ``BranchState`` the average depends only on the basis and on the
+    record classes of the fragment and of the labels traced out, and is
+    computed once per state for each.
     """
-    hs = _entropy(state, split.system_labels)
+    system, fragment = split.system_labels, split.fragment_labels
+    hs = _entropy(state, system)
     if isinstance(state, BranchState):
-        outcomes = branch_outcomes(state, split.system_labels,
-                                   split.fragment_labels, fragment_basis)
+        layout = state.layout
+        inside, traced = layout.split(system + fragment)
+        _check_pointer(layout, system)
+        chosen = set(fragment)
+        ordered = [l for l in inside if l in chosen]
+        rows = _basis_rows(fragment_basis, layout.subdim(ordered))
+        avg = state._once(
+            ("conditioned", state._signature(ordered),
+             state._signature(traced), rows.tobytes()),
+            lambda: _average_entropy(
+                branch_outcomes(state, system, fragment, rows)))
     else:
-        fragment = state.layout.ordered(split.fragment_labels)
-        arr, _ = _grouped(state, split.system_labels, fragment)
+        arr, _ = _grouped(state, system, state.layout.ordered(fragment))
         rows = _basis_rows(fragment_basis, arr.shape[1]).conj()
         kept = np.einsum("bf,sfr->bsr", rows, arr)
-        outcomes = kept @ kept.conj().transpose(0, 2, 1)
+        avg = _average_entropy(kept @ kept.conj().transpose(0, 2, 1))
+    return max(0.0, hs - avg)
+
+
+def _average_entropy(outcomes) -> float:
+    """sum_b p_b H(rho_b / p_b) over the unnormalized outcome states
+    rho_b (trace p_b) whose p_b is at least ``KERNEL_TOL``."""
     avg = 0.0
-    for rho in outcomes:        # unnormalized, trace p_b
+    for rho in outcomes:
         p = np.trace(rho).real
         if p >= KERNEL_TOL:
             avg += p * _entropy_bits(np.linalg.eigvalsh(rho / p))
-    return max(0.0, hs - avg)
+    return avg
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:

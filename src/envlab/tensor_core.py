@@ -175,8 +175,10 @@ class BranchState:
 
     The first label S carries the pointer basis; label j (S too) holds
     one ket per branch, |e_j^k> as row k of ``kets[j]`` (n x d_j): the
-    identity for S and for a perfect record.  ``grams[j]`` is their Gram
-    matrix ``G_j[k, l] = <e_j^k|e_j^l>``, its unit diagonal set exactly.
+    identity for S and for a perfect record.  Labels given one table
+    object form a record class, with one copy of the table and one Gram
+    matrix ``G[k, l] = <e^k|e^l>`` (unit diagonal set exactly), formed
+    when a kernel first needs it; ``grams`` stacks G_j in layout order.
     ``layout`` is the nominal space, so building it applies the dimension
     guard, but no amplitude vector over it is ever formed.
     """
@@ -184,35 +186,64 @@ class BranchState:
     layout: SpaceLayout
     amplitudes: np.ndarray   # a_k, one per branch
     kets: tuple              # per label in layout order, its (n, d_j) table
-    grams: np.ndarray        # (labels, n, n): G_j in layout order
 
     def __init__(self, layout: SpaceLayout, amplitudes, kets):
         amps = _freeze(np.asarray(amplitudes).ravel())
         n = amps.size
         kets = tuple(kets)      # held, so each id names one table throughout
-        # one copy (float unless complex) and one Gram per distinct table
-        copies = {i: np.asarray(r) * 1.0
-                  for i, r in {id(r): r for r in kets}.items()}
-        tables = tuple(copies[id(r)] for r in kets)
-        if [r.shape for r in tables] != [(n, d) for d in layout.dims]:
-            raise ValueError(f"record ket tables {[r.shape for r in tables]}"
+        firsts = {id(r): r for r in kets}
+        position = {i: c for c, i in enumerate(firsts)}
+        classes = [position[id(r)] for r in kets]
+        # one copy (float unless complex) per class
+        tables = tuple(np.asarray(r) * 1.0 for r in firsts.values())
+        kets = tuple(tables[c] for c in classes)
+        if [r.shape for r in kets] != [(n, d) for d in layout.dims]:
+            raise ValueError(f"record ket tables {[r.shape for r in kets]}"
                              f" != ({n}, d_j) for dims {layout.dims}")
         nrm = np.linalg.norm(amps)
         if abs(nrm - 1.0) > STATE_TOL:
             raise NotNormalized(f"norm {nrm} differs from 1 beyond {STATE_TOL}")
-        if np.max(np.abs(tables[0] - np.eye(*tables[0].shape))) > STATE_TOL:
+        if np.max(np.abs(kets[0] - np.eye(*kets[0].shape))) > STATE_TOL:
             raise InvalidDensity("the pointer label's kets are not the identity")
-        grams = {i: r @ r.conj().T for i, r in copies.items()}
-        g = np.array([grams[id(r)] for r in kets])
-        if np.max(np.abs(np.diagonal(g, axis1=1, axis2=2) - 1.0)) > STATE_TOL:
-            raise InvalidDensity("a record ket is not a unit vector")
-        g[:, np.arange(n), np.arange(n)] = 1.0
-        for a in tables + (g,):
-            a.flags.writeable = False
+        for r in tables:
+            if np.max(np.abs((np.abs(r) ** 2).sum(axis=1) - 1.0)) > STATE_TOL:
+                raise InvalidDensity("a record ket is not a unit vector")
+            r.flags.writeable = False
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "kets", tables)
-        object.__setattr__(self, "grams", g)
+        object.__setattr__(self, "kets", kets)
+        object.__setattr__(self, "_tables", tables)
+        object.__setattr__(self, "_class_of", dict(zip(layout.labels,
+                                                       classes)))
+        object.__setattr__(self, "_results", {})
+
+    @cached_property
+    def _class_grams(self) -> np.ndarray:
+        """(classes, n, n): each record class's Gram matrix."""
+        g = np.array([r @ r.conj().T for r in self._tables])
+        n = self.amplitudes.size
+        g[:, np.arange(n), np.arange(n)] = 1.0
+        g.flags.writeable = False
+        return g
+
+    @cached_property
+    def grams(self) -> np.ndarray:
+        g = self._class_grams[list(self._signature(self.layout.labels))]
+        g.flags.writeable = False
+        return g
+
+    def _signature(self, labels) -> tuple[int, ...]:
+        """The record class of each label (of the layout), in the order
+        given."""
+        return tuple(map(self._class_of.__getitem__, labels))
+
+    def _once(self, key, compute):
+        """``compute()`` the first time ``key`` is asked for, kept for
+        the life of the state: a key is made of class signatures, never
+        of label names."""
+        if key not in self._results:
+            self._results[key] = compute()
+        return self._results[key]
 
     def _rows(self, labels) -> np.ndarray:
         """Row k: the Kronecker product of the ``labels``' kets k, in the
@@ -425,16 +456,20 @@ def partial_trace(state, keep) -> DensityOperator:
     raise TypeError(f"unsupported input type {type(state)!r}")
 
 
+def _check_pointer(layout: SpaceLayout, keep) -> None:
+    """Raise unless ``keep`` holds the pointer label."""
+    if layout.labels[0] not in keep:
+        raise InvalidBipartition(
+            f"labels {keep} lack the pointer label {layout.labels[0]!r}")
+
+
 def _density(state: BranchState, keep, traced) -> np.ndarray:
     """Entry (k, l) = a_k a_l* times the product of G_j[l, k] over the
     ``traced`` labels: the reduced state over the branch kets of every
     label not traced out.  ``keep`` must hold the pointer label, which
     makes those kets orthonormal."""
-    layout = state.layout
-    if layout.labels[0] not in keep:
-        raise InvalidBipartition(
-            f"labels {keep} lack the pointer label {layout.labels[0]!r}")
-    g = state.grams[[layout.index(l) for l in traced]].prod(axis=0)
+    _check_pointer(state.layout, keep)
+    g = state._class_grams[list(state._signature(traced))].prod(axis=0)
     a = state.amplitudes
     return np.outer(a, a.conj()) * g.T
 
@@ -452,7 +487,9 @@ def reduced_spectrum(state: BranchState, labels) -> np.ndarray:
     side holding the pointer label is the one reduced: its density has
     the spectrum of sqrt(p) (G_j1 * G_j2 * ...) sqrt(p), the Hadamard
     product running over the labels j of the other side.  The whole
-    state is pure; its spectrum is the single eigenvalue 1.
+    state is pure; its spectrum is the single eigenvalue 1.  Label sets
+    whose sides hold the same record classes in the same order share one
+    (read-only) spectrum, computed once per state.
     """
     keep, traced = state.layout.split(labels)
     if not keep:
@@ -461,7 +498,14 @@ def reduced_spectrum(state: BranchState, labels) -> np.ndarray:
         return np.ones(1)
     if state.layout.labels[0] not in keep:
         keep, traced = traced, keep
-    return np.linalg.eigvalsh(_density(state, keep, traced))
+
+    def spectrum():
+        eigs = np.linalg.eigvalsh(_density(state, keep, traced))
+        eigs.flags.writeable = False
+        return eigs
+
+    return state._once(("spectrum", state._signature(keep),
+                        state._signature(traced)), spectrum)
 
 
 def branch_outcomes(state: BranchState, system, fragment,

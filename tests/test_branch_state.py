@@ -7,6 +7,7 @@ redundancy ratio, rho_SA coherence and basis-conditioned information
 read from it must match the dense state reduced by ``partial_trace``
 (or measured on its amplitudes) within 1e-10.
 """
+import itertools
 from functools import reduce
 
 import numpy as np
@@ -283,3 +284,52 @@ def test_a_table_passed_for_several_labels_is_copied_once():
     for j, c in enumerate((0.0, 0.3, 0.9)):
         np.testing.assert_array_equal(state.kets[j], record_states(2, 2, c))
     assert state.grams[1, 0, 1] != state.grams[2, 0, 1]
+
+
+
+def test_results_are_shared_only_within_a_record_class():
+    """A state answers many label sets from the results it keeps per
+    record class signature; each answer must equal the one a fresh state
+    gives, so no two classes (c = 0.3 and 0.9, and tables of equal values
+    made one at a time) are ever merged, nor two orders of them."""
+    t3, t9 = record_states(3, 3, 0.3), record_states(3, 3, 0.9)
+    perfect = np.eye(3)
+    tables = [perfect, perfect, t9, t3, t9, t3, record_states(3, 3, 0.3),
+              record_states(3, 3, 0.9)]
+    labels = ["S", "A"] + [f"E{i + 1}" for i in range(6)]
+    layout = SpaceLayout([(l, 3) for l in labels])
+    amps = AMPLITUDES[3]["complex"]
+
+    def fresh():
+        return BranchState(layout, amps, tables)
+
+    state, envs = fresh(), labels[2:]
+    for size in range(1, len(labels) + 1):
+        for subset in itertools.combinations(labels, size):
+            assert np.array_equal(reduced_spectrum(state, subset),
+                                  reduced_spectrum(fresh(), subset))
+
+    def h(labels):
+        return _entropy(fresh(), labels)
+
+    for fragments in ([(e,) for e in envs],
+                      [("E1", "E2"), ("E3", "E5"), ("E4", "E6")],
+                      [("A", "E6"), ("E2", "E1"), ("E4", "E3")]):
+        report = redundancy_report(state, "S", fragments)
+        for f, mi in zip(fragments, report.per_fragment_mi):
+            assert np.array_equal(mi, max(0.0, h("S") + h(f) - h(("S",) + f)))
+    for system in [("S",), ("S", "A"), ("S", "E3")]:
+        rest = [l for l in labels if l not in system]
+        for fragment in itertools.chain(
+                itertools.combinations(rest, 1),
+                itertools.combinations(rest, 2)):
+            split = FragmentSpec(system, fragment)
+            for basis in fragment_bases(3 ** len(fragment)):
+                assert np.array_equal(
+                    basis_conditioned_mutual_information(state, split, basis),
+                    basis_conditioned_mutual_information(fresh(), split,
+                                                         basis))
+    # A shares the pointer's table, but is not the pointer label
+    with pytest.raises(errors.InvalidBipartition):
+        basis_conditioned_mutual_information(
+            state, FragmentSpec("A", "E1"), np.eye(3))

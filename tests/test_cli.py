@@ -200,6 +200,26 @@ class TestBorn:
         tables = parse_tables(out)
         assert {int(r[0]) for r in tables["bounds"]["rows"]} == {50}
 
+    def test_bounds_m_below_the_outcome_count(self, capsys, monkeypatch):
+        # a field error before the denominator scan; a zero amplitude
+        # does not count against M
+        def refuse(*args, **kwargs):
+            raise AssertionError("the denominator scan ran")
+
+        monkeypatch.setattr(envariance, "find_commensurate_denominator",
+                            refuse)
+        code, out, err = run_cli(capsys, "born", "--amplitudes",
+                                 "0.3,0.5,0.7,0.1", "--bounds-m", "3,7")
+        assert code == 2
+        assert out == ""
+        assert list(json.loads(err)["fields"]) == ["bounds_m"]
+        monkeypatch.undo()
+        code, out, _ = run_cli(capsys, "born", "--amplitudes", "0.3,0.5,0,0.1",
+                               "--bounds-m", "3")
+        assert code == 0
+        assert [r[:2] for r in parse_tables(out)["bounds"]["rows"]] == [
+            ["3", str(k)] for k in range(4)]
+
 
 class TestEnvariance:
     def test_verdict_rows(self, capsys):
@@ -638,3 +658,31 @@ def test_system_entropy_gap_sees_a_kernel_fault(capsys, monkeypatch):
     monkeypatch.setattr(tensor_core, "_density", lambda state, keep, traced:
                         real(state, keep, [l for l in traced if l != "A"]))
     assert system_entropy_gap(capsys, IMPERFECT_REDUNDANCY) > 1e-3
+
+
+@pytest.mark.parametrize("argv, densities, eigensolves", [
+    # H(S), then H(E_i) and H(S, E_i) alike for every i
+    (("redundancy", "--amplitudes", "0.6,0.8", "--env-count", "16",
+      "--overlap", "0.3"), 3, 3),
+    # H(S) once; each basis measures every F_i alike: one density and
+    # two outcome spectra per basis
+    (("cascade", "--amplitudes", "0.6,0.8", "--env-count", "8"), 3, 5),
+    (("einselect", "--amplitudes", "0.6,0.8"), 1, 1),
+])
+def test_each_distinct_branch_spectrum_is_computed_once(
+        capsys, monkeypatch, argv, densities, eigensolves):
+    calls = {"density": 0, "eigvalsh": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(tensor_core, "_density",
+                        counted("density", tensor_core._density))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        counted("eigvalsh", np.linalg.eigvalsh))
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert calls == {"density": densities, "eigvalsh": eigensolves}
