@@ -128,24 +128,24 @@ def basis_conditioned_mutual_information(
     traced down to the system labels (for a ``BranchState``,
     ``branch_outcomes``, so the system must hold the pointer label).
     Outcomes with probability below ``KERNEL_TOL`` are skipped.  On a
-    ``BranchState`` the average depends only on the basis and on the
-    record classes of the fragment and of the labels traced out, and is
-    computed once per state for each.
+    ``BranchState`` the average depends only on the basis, on the record
+    classes of the fragment in layout order and on how many labels of
+    each class are traced out, and is computed once per state for each.
     """
     system, fragment = split.system_labels, split.fragment_labels
     hs = _entropy(state, system)
     if isinstance(state, BranchState):
         layout = state.layout
-        inside, traced = layout.split(system + fragment)
+        traced = state._traced_counts(system + fragment)
         _check_pointer(layout, system)
-        chosen = set(fragment)
-        ordered = [l for l in inside if l in chosen]
+        ordered = sorted(set(fragment), key=layout.index)
         rows = _basis_rows(fragment_basis, layout.subdim(ordered))
-        avg = state._once(
-            ("conditioned", state._signature(ordered),
-             state._signature(traced), rows.tobytes()),
-            lambda: _average_entropy(
-                branch_outcomes(state, system, fragment, rows)))
+        classes = tuple(state._classes[layout.index(l)] for l in ordered)
+        key = ("conditioned", traced, classes, rows.tobytes())
+        if key not in state._results:
+            state._results[key] = _average_entropy(
+                branch_outcomes(state, system, fragment, rows))
+        avg = state._results[key]
     else:
         arr, _ = _grouped(state, system, state.layout.ordered(fragment))
         rows = _basis_rows(fragment_basis, arr.shape[1]).conj()

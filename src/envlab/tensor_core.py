@@ -179,6 +179,8 @@ class BranchState:
     object form a record class, with one copy of the table and one Gram
     matrix ``G[k, l] = <e^k|e^l>`` (unit diagonal set exactly), formed
     when a kernel first needs it; ``grams`` stacks G_j in layout order.
+    A result a kernel computes is kept for the life of the state, keyed on
+    how many labels of each class it traces out, never on label names.
     ``layout`` is the nominal space, so building it applies the dimension
     guard, but no amplitude vector over it is ever formed.
     """
@@ -213,8 +215,8 @@ class BranchState:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "kets", kets)
         object.__setattr__(self, "_tables", tables)
-        object.__setattr__(self, "_class_of", dict(zip(layout.labels,
-                                                       classes)))
+        object.__setattr__(self, "_classes", classes)
+        object.__setattr__(self, "_totals", np.bincount(classes))
         object.__setattr__(self, "_results", {})
 
     @cached_property
@@ -228,22 +230,18 @@ class BranchState:
 
     @cached_property
     def grams(self) -> np.ndarray:
-        g = self._class_grams[list(self._signature(self.layout.labels))]
+        g = self._class_grams[self._classes]
         g.flags.writeable = False
         return g
 
-    def _signature(self, labels) -> tuple[int, ...]:
-        """The record class of each label (of the layout), in the order
-        given."""
-        return tuple(map(self._class_of.__getitem__, labels))
-
-    def _once(self, key, compute):
-        """``compute()`` the first time ``key`` is asked for, kept for
-        the life of the state: a key is made of class signatures, never
-        of label names."""
-        if key not in self._results:
-            self._results[key] = compute()
-        return self._results[key]
+    def _traced_counts(self, labels) -> tuple[int, ...]:
+        """Per record class, how many labels a reduction to ``labels``
+        traces out: the others if ``labels`` hold the pointer label, else
+        ``labels`` (the two sides of a pure state share a spectrum)."""
+        positions = set(map(self.layout.index, _label_tuple(labels)))
+        inside = np.bincount([self._classes[i] for i in positions],
+                             minlength=len(self._totals))
+        return tuple(self._totals - inside if 0 in positions else inside)
 
     def _rows(self, labels) -> np.ndarray:
         """Row k: the Kronecker product of the ``labels``' kets k, in the
@@ -465,11 +463,12 @@ def _check_pointer(layout: SpaceLayout, keep) -> None:
 
 def _density(state: BranchState, keep, traced) -> np.ndarray:
     """Entry (k, l) = a_k a_l* times the product of G_j[l, k] over the
-    ``traced`` labels: the reduced state over the branch kets of every
-    label not traced out.  ``keep`` must hold the pointer label, which
-    makes those kets orthonormal."""
+    ``traced`` labels, left to right in record-class order: the reduced
+    state over the branch kets of the ``keep`` labels, which must hold
+    the pointer label, so that those kets are orthonormal."""
     _check_pointer(state.layout, keep)
-    g = state._class_grams[list(state._signature(traced))].prod(axis=0)
+    counts = state._traced_counts(traced)
+    g = state._class_grams.repeat(counts, axis=0).prod(axis=0)
     a = state.amplitudes
     return np.outer(a, a.conj()) * g.T
 
@@ -488,24 +487,24 @@ def reduced_spectrum(state: BranchState, labels) -> np.ndarray:
     the spectrum of sqrt(p) (G_j1 * G_j2 * ...) sqrt(p), the Hadamard
     product running over the labels j of the other side.  The whole
     state is pure; its spectrum is the single eigenvalue 1.  Label sets
-    whose sides hold the same record classes in the same order share one
+    that trace out as many labels of each record class share one
     (read-only) spectrum, computed once per state.
     """
-    keep, traced = state.layout.split(labels)
-    if not keep:
+    labels = _label_tuple(labels)
+    counts = state._traced_counts(labels)
+    if not labels:
         raise EmptyKeepSet("keep set must be non-empty")
-    if not traced:
+    if not any(counts):
         return np.ones(1)
-    if state.layout.labels[0] not in keep:
-        keep, traced = traced, keep
-
-    def spectrum():
+    key = ("spectrum", counts)
+    if key not in state._results:
+        keep, traced = state.layout.split(labels)
+        if state.layout.labels[0] not in keep:
+            keep, traced = traced, keep
         eigs = np.linalg.eigvalsh(_density(state, keep, traced))
         eigs.flags.writeable = False
-        return eigs
-
-    return state._once(("spectrum", state._signature(keep),
-                        state._signature(traced)), spectrum)
+        state._results[key] = eigs
+    return state._results[key]
 
 
 def branch_outcomes(state: BranchState, system, fragment,

@@ -333,3 +333,54 @@ def test_results_are_shared_only_within_a_record_class():
     with pytest.raises(errors.InvalidBipartition):
         basis_conditioned_mutual_information(
             state, FragmentSpec("A", "E1"), np.eye(3))
+
+
+def test_conditioned_results_keep_the_traced_classes_apart():
+    """Systems of one size that hold records of different classes leave
+    different classes to trace out: (S, E1) traces E2 and E4, both at
+    c = 0.9, where (S, E2) traces E1 at 0.3 and E4 at 0.9.  Each
+    basis-conditioned MI must equal the one a fresh state gives."""
+    t3, t9 = record_states(3, 3, 0.3), record_states(3, 3, 0.9)
+    layout = SpaceLayout([(l, 3) for l in ("S", "E1", "E2", "E3", "E4")])
+    amps = AMPLITUDES[3]["complex"]
+
+    def fresh():
+        return BranchState(layout, amps, [np.eye(3), t3, t9, t3, t9])
+
+    state = fresh()
+    for fragment in [("E3",), ("E4",), ("E3", "E4")]:
+        values = []
+        for system in [("S", "E1"), ("S", "E2")]:
+            split = FragmentSpec(system, fragment)
+            for basis in fragment_bases(3 ** len(fragment)):
+                got = basis_conditioned_mutual_information(state, split, basis)
+                assert np.array_equal(
+                    got, basis_conditioned_mutual_information(fresh(), split,
+                                                              basis))
+                values.append(got)
+        assert values[:3] != values[3:]
+
+
+def records_entropy(p0, p1, overlap, m):
+    """h_m: the entropy in bits of (1 +- sqrt(1 - 4 p0 p1 (1 - c^2m))) / 2,
+    the spectrum of m records at adjacent overlap c of a two-branch
+    pointer with weights (p0, p1)."""
+    root = np.sqrt(1 - 4 * p0 * p1 * (1 - overlap ** (2 * m)))
+    lam = np.array([1 + root, 1 - root]) / 2
+    return float(-(lam * np.log2(lam)).sum())
+
+
+def test_redundancy_at_a_thousand_environments(monkeypatch):
+    """Past the dense oracle's reach, the closed form for d = 2: A holds a
+    perfect record, so H(S) = H(S, E_i) = H(p), each fragment E_i gives
+    I(S:E_i) = h_1 and the ratio is N h_1 / H(p)."""
+    monkeypatch.setenv("ENVLAB_DIM_GUARD", str(10 ** 400))
+    n, (p0, p1) = 1000, (0.36, 0.64)
+    envs = [f"E{i + 1}" for i in range(n)]
+    state = branch_records(BranchSpec("S", 2, (0.6, 0.8), 0.3), "A", envs)
+    report = redundancy_report(state, "S", envs)
+    h1 = records_entropy(p0, p1, 0.3, 1)
+    ratio = n * h1 / -(p0 * np.log2(p0) + p1 * np.log2(p1))
+    assert len(report.per_fragment_mi) == n
+    assert max(abs(mi - h1) for mi in report.per_fragment_mi) <= 1e-10
+    assert abs(report.ratio - ratio) <= 1e-10 * ratio

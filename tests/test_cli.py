@@ -686,3 +686,28 @@ def test_each_distinct_branch_spectrum_is_computed_once(
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert calls == {"density": densities, "eigvalsh": eigensolves}
+
+
+@pytest.mark.parametrize("argv, label_sets", [
+    # one label set per distinct spectrum
+    (("redundancy", "--amplitudes", "0.6,0.8", "--env-count", "200",
+      "--overlap", "0.3"), 3),
+    # H(S), then per basis the one average computed, whose outcomes
+    # resolve the labels traced out and the fragment's order
+    (("cascade", "--amplitudes", "0.6,0.8", "--env-count", "50"), 5),
+])
+def test_a_kept_result_resolves_no_label_set(capsys, monkeypatch, argv,
+                                            label_sets):
+    """Only a result computed for the first time splits the layout by
+    name; every later lookup of it resolves no label set."""
+    monkeypatch.setenv("ENVLAB_DIM_GUARD", str(10 ** 400))
+    calls, real = [], tensor_core.SpaceLayout.split
+
+    def counting(layout, labels):
+        calls.append(labels)
+        return real(layout, labels)
+
+    monkeypatch.setattr(tensor_core.SpaceLayout, "split", counting)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(calls) <= label_sets

@@ -156,11 +156,18 @@ def test_index_of_unknown_label():
         DENSE.layout.index("X1")
 
 
+def fresh_branch():
+    """``BRANCH`` without the results earlier tests made it keep: a kept
+    result is looked up without resolving any label set."""
+    return branch_records(SPEC, "App", ["E1", "E2"])
+
+
 @pytest.mark.parametrize("call, label_sets", [
-    (lambda: reduced_spectrum(BRANCH, ["Sys", "App"]), 1),
-    (lambda: reduced_spectrum(BRANCH, "E1"), 1),   # the other side reduced
-    (lambda: branch_density(BRANCH, ["Sys", "E2"]), 1),
-    (lambda: branch_outcomes(BRANCH, "Sys", ["E1", "E2"],
+    (lambda: reduced_spectrum(fresh_branch(), ["Sys", "App"]), 1),
+    # the other side reduced
+    (lambda: reduced_spectrum(fresh_branch(), "E1"), 1),
+    (lambda: branch_density(fresh_branch(), ["Sys", "E2"]), 1),
+    (lambda: branch_outcomes(fresh_branch(), "Sys", ["E1", "E2"],
                              np.kron(FOURIER, FOURIER)), 2),
     pytest.param(lambda: partial_trace(DENSE, ["Sys", "E1"]), 1,
                  id="partial_trace"),
