@@ -15,15 +15,11 @@ from .tensor_core import (
     branch_density,
     branch_outcomes,
     controlled_shift,
-    load_state,
     partial_trace,
     reduced_spectrum,
     relative_states,
-    save_state,
     schmidt_decompose,
     schmidt_state,
-    single_state,
-    states_equal_up_to_global_phase,
     tensor_product,
 )
 from .info_measures import (
@@ -37,15 +33,10 @@ from .info_measures import (
 )
 from .measurement_models import (
     BranchSpec,
-    ObserverOutcomeTable,
     branch_records,
     broadcast_environment,
     build_branch_state,
     cascade_environment,
-    conditional_probability,
-    entangle_environment,
-    observer_record,
-    premeasure,
 )
 from .envariance import (
     EnvarianceVerdict,
@@ -56,11 +47,9 @@ from .envariance import (
     equal_amplitude_probabilities,
     fine_grain,
     is_envariant,
-    phase_sensitivity_witness,
     rational_bounds,
     schmidt_phase_unitary,
     schmidt_swap_unitary,
-    subset_probability,
 )
 
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import (
     BadIndex,
-    LayoutMismatch,
     LengthMismatch,
     MTooSmall,
     NotEqualAmplitude,
@@ -20,7 +19,6 @@ from .errors import (
     SideViolation,
     UseBoundsInstead,
 )
-from .info_measures import trace_distance
 from .tensor_core import (
     KERNEL_TOL,
     STATE_TOL,
@@ -34,7 +32,6 @@ from .tensor_core import (
     controlled_shift,
     global_phase_distance,
     matricize,
-    partial_trace,
     schmidt_decompose,
 )
 
@@ -217,16 +214,6 @@ def _equal_weights(coeffs: np.ndarray) -> np.ndarray:
     return np.full(coeffs.size, 1.0 / coeffs.size)
 
 
-def subset_probability(state: PureState, system, indices) -> float:
-    """Additive probability n/N of a subset of equal-amplitude outcomes."""
-    p = equal_amplitude_probabilities(state, system)
-    n = p.size
-    chosen = set(int(i) for i in indices)
-    if any(i < 0 or i >= n for i in chosen):
-        raise BadIndex(f"subset {sorted(chosen)} outside range({n})")
-    return len(chosen) / n
-
-
 def _check_counts(counts, probs: np.ndarray, tolerance: float,
                   env_dim: int) -> None:
     """Counts fit the spectrum within tolerance and the environment has
@@ -373,38 +360,3 @@ def rational_bounds(state: PureState, system, m: int) -> ProbabilityBound:
     """``bound_spectrum`` of the squared Schmidt coefficients, in pointer
     order (see ``schmidt_probabilities``)."""
     return bound_spectrum(schmidt_probabilities(state, system), m)
-
-
-# ---------------------------------------------------------------------------
-# no envariance without entanglement
-
-def phase_sensitivity_witness(psi: PureState, psi_prime: PureState):
-    """(interference gap, post-entanglement reduced-operator gap).
-
-    The first number is the largest expectation gap over the pairwise
-    X/Y interference observables (Hadamard-type eigenbases); the second
-    is the trace distance between the reduced operators after each state
-    is entangled with a fresh record environment.
-    """
-    if psi.layout != psi_prime.layout:
-        raise LayoutMismatch("states live on different layouts")
-    if len(psi.layout.labels) != 1:
-        raise LayoutMismatch("witness defined for single-subsystem states")
-    label = psi.layout.labels[0]
-    d = psi.layout.dims[0]
-    a, b = psi.amplitudes, psi_prime.amplitudes
-    gap = 0.0
-    for i in range(d):
-        for j in range(i + 1, d):
-            zx = np.conj(a[i]) * a[j] - np.conj(b[i]) * b[j]
-            gap = max(gap, abs(2.0 * zx.real), abs(2.0 * zx.imag))
-
-    rec = f"{label}_rec"
-
-    def reduced(state):
-        joined = attach_ready(state, rec, d)
-        entangled = controlled_shift(joined, label, rec)
-        return partial_trace(entangled, [label])
-
-    post_gap = trace_distance(reduced(psi), reduced(psi_prime))
-    return float(gap), float(post_gap)

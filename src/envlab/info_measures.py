@@ -19,13 +19,14 @@ from .tensor_core import (
     BranchState,
     DensityOperator,
     PureState,
+    _basis_matrix,
     _basis_rows,
     _check_pointer,
     _grouped,
     _label_tuple,
+    _spectrum,
     branch_outcomes,
     partial_trace,
-    reduced_spectrum,
 )
 
 
@@ -78,9 +79,14 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 
 
 def _entropy(state: PureState | BranchState, labels) -> float:
-    """Entropy of the reduced state on ``labels``, in bits."""
+    """Entropy of the reduced state on ``labels``, in bits; a
+    ``BranchState`` keeps it next to the spectrum it sums over."""
     if isinstance(state, BranchState):
-        return _entropy_bits(reduced_spectrum(state, labels))
+        counts, eigs = _spectrum(state, labels)
+        key = ("entropy", counts)
+        if key not in state._results:
+            state._results[key] = _entropy_bits(eigs)
+        return state._results[key]
     return von_neumann_entropy(partial_trace(state, labels))
 
 
@@ -130,7 +136,8 @@ def basis_conditioned_mutual_information(
     Outcomes with probability below ``KERNEL_TOL`` are skipped.  On a
     ``BranchState`` the average depends only on the basis, on the record
     classes of the fragment in layout order and on how many labels of
-    each class are traced out, and is computed once per state for each.
+    each class are traced out, and is computed, its basis checked with
+    it, once per state for each.
     """
     system, fragment = split.system_labels, split.fragment_labels
     hs = _entropy(state, system)
@@ -138,13 +145,13 @@ def basis_conditioned_mutual_information(
         layout = state.layout
         traced = state._traced_counts(system + fragment)
         _check_pointer(layout, system)
-        ordered = sorted(set(fragment), key=layout.index)
-        rows = _basis_rows(fragment_basis, layout.subdim(ordered))
-        classes = tuple(state._classes[layout.index(l)] for l in ordered)
-        key = ("conditioned", traced, classes, rows.tobytes())
+        classes = tuple(state._classes[i]
+                        for i in sorted(set(map(layout.index, fragment))))
+        basis = _basis_matrix(fragment_basis)
+        key = ("conditioned", traced, classes, basis.shape, basis.tobytes())
         if key not in state._results:
             state._results[key] = _average_entropy(
-                branch_outcomes(state, system, fragment, rows))
+                branch_outcomes(state, system, fragment, basis))
         avg = state._results[key]
     else:
         arr, _ = _grouped(state, system, state.layout.ordered(fragment))

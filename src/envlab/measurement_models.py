@@ -1,6 +1,6 @@
-"""Circuit-level measurement chain: pre-measurement, environment
-entanglement, N-fold broadcast, distant-environment cascade, and observer
-records with conditional probabilities.
+"""Circuit-level measurement chain: N-fold broadcast and
+distant-environment cascade through one record writer, and the branch
+state they build, kept as its records.
 
 Conventions: "ready" states are the index-0 basis states, and every
 record is written by one map, |k>|0> -> |k>|e_k>: a perfect record
@@ -19,12 +19,10 @@ from .errors import (
     ApparatusNotReady,
     BadOverlap,
     DimensionMismatch,
-    InvalidBipartition,
     LengthMismatch,
     NotNormalized,
 )
 from .tensor_core import (
-    KERNEL_TOL,
     STATE_TOL,
     BranchState,
     PureState,
@@ -64,17 +62,6 @@ class BranchSpec:
         object.__setattr__(self, "record_overlap", float(record_overlap))
 
 
-@dataclass(frozen=True)
-class ObserverOutcomeTable:
-    """Prior over pointer outcomes and p(s_l | mu_k) rows per memory
-    outcome.  Rows whose memory probability is < KERNEL_TOL fall back to the
-    prior and are flagged in ``defined``."""
-
-    prior: np.ndarray
-    conditional: np.ndarray
-    defined: np.ndarray
-
-
 def _write_record(state: PureState, source: str, target: str, what: str,
                   overlap: float = 0.0) -> PureState:
     """Branch k of ``source`` writes row k of ``record_states`` into a
@@ -90,17 +77,6 @@ def _write_record(state: PureState, source: str, target: str, what: str,
     if np.linalg.norm(view[:, 1:, :]) > STATE_TOL:
         raise ApparatusNotReady(f"{what} {target!r} is not in its ready state")
     return restore(recs[:, :, np.newaxis] * view[:, :1, :])
-
-
-def premeasure(state: PureState, system: str, apparatus: str) -> PureState:
-    """Controlled shift |s_k>|A_0> -> |s_k>|A_k> (pre-measurement)."""
-    return _write_record(state, system, apparatus, "apparatus")
-
-
-def entangle_environment(state: PureState, pointer: str,
-                         environment: str) -> PureState:
-    """Controlled shift from the pointer onto a fresh environment."""
-    return _write_record(state, pointer, environment, "environment")
 
 
 def record_states(n_branches: int, env_dim: int, overlap: float) -> np.ndarray:
@@ -144,27 +120,6 @@ def cascade_environment(state: PureState, immediate, distant) -> PureState:
     for src, dst in zip(immediate, distant):
         out = _write_record(out, src, dst, "distant environment")
     return out
-
-
-def observer_record(state: PureState, system: str, memory: str) -> PureState:
-    """Copy the system's pointer index onto the observer's memory."""
-    return _write_record(state, system, memory, "memory")
-
-
-def conditional_probability(state: PureState, memory: str,
-                            system: str) -> ObserverOutcomeTable:
-    """Prior over pointer outcomes and p(s_l | mu_k) per memory outcome,
-    read from the joint distribution |psi|^2 over (memory, system)."""
-    if memory == system:
-        raise InvalidBipartition(f"memory and system are both {memory!r}")
-    arr, _ = _grouped(state, memory, system)
-    joint = np.sum(np.abs(arr) ** 2, axis=2)
-    prior = joint.sum(axis=0)
-    weight = joint.sum(axis=1)
-    defined = weight >= KERNEL_TOL
-    conditional = np.tile(prior, (len(joint), 1))
-    conditional[defined] = joint[defined] / weight[defined, np.newaxis]
-    return ObserverOutcomeTable(prior, conditional, defined)
 
 
 def build_branch_state(spec: BranchSpec, apparatus: str | None = None,

@@ -9,7 +9,6 @@ rely on it.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -216,7 +215,7 @@ class BranchState:
         object.__setattr__(self, "kets", kets)
         object.__setattr__(self, "_tables", tables)
         object.__setattr__(self, "_classes", classes)
-        object.__setattr__(self, "_totals", np.bincount(classes))
+        object.__setattr__(self, "_totals", np.bincount(classes).tolist())
         object.__setattr__(self, "_results", {})
 
     @cached_property
@@ -239,9 +238,12 @@ class BranchState:
         traces out: the others if ``labels`` hold the pointer label, else
         ``labels`` (the two sides of a pure state share a spectrum)."""
         positions = set(map(self.layout.index, _label_tuple(labels)))
-        inside = np.bincount([self._classes[i] for i in positions],
-                             minlength=len(self._totals))
-        return tuple(self._totals - inside if 0 in positions else inside)
+        inside = [0] * len(self._totals)
+        for i in positions:
+            inside[self._classes[i]] += 1
+        if 0 in positions:
+            return tuple(t - c for t, c in zip(self._totals, inside))
+        return tuple(inside)
 
     def _rows(self, labels) -> np.ndarray:
         """Row k: the Kronecker product of the ``labels``' kets k, in the
@@ -347,12 +349,6 @@ def basis_state(layout: SpaceLayout, indices) -> PureState:
     amps = np.zeros(layout.total_dimension, dtype=complex)
     amps[flat] = 1.0
     return PureState(layout, amps)
-
-
-def single_state(label: str, amplitudes) -> PureState:
-    """One-subsystem state from a raw amplitude vector (normalized check)."""
-    amps = np.asarray(amplitudes, dtype=complex).ravel()
-    return PureState(SpaceLayout([(label, amps.size)]), amps)
 
 
 def schmidt_state(amplitudes, env_dim: int) -> PureState:
@@ -461,13 +457,13 @@ def _check_pointer(layout: SpaceLayout, keep) -> None:
             f"labels {keep} lack the pointer label {layout.labels[0]!r}")
 
 
-def _density(state: BranchState, keep, traced) -> np.ndarray:
+def _density(state: BranchState, keep, counts) -> np.ndarray:
     """Entry (k, l) = a_k a_l* times the product of G_j[l, k] over the
-    ``traced`` labels, left to right in record-class order: the reduced
-    state over the branch kets of the ``keep`` labels, which must hold
-    the pointer label, so that those kets are orthonormal."""
+    labels traced out, ``counts`` of each record class, left to right in
+    record-class order: the reduced state over the branch kets of the
+    ``keep`` labels, which must hold the pointer label, so that those
+    kets are orthonormal."""
     _check_pointer(state.layout, keep)
-    counts = state._traced_counts(traced)
     g = state._class_grams.repeat(counts, axis=0).prod(axis=0)
     a = state.amplitudes
     return np.outer(a, a.conj()) * g.T
@@ -476,7 +472,8 @@ def _density(state: BranchState, keep, traced) -> np.ndarray:
 def branch_density(state: BranchState, labels) -> np.ndarray:
     """Reduced state on ``labels``, which hold the pointer label, as the
     n x n matrix over its branch kets (x)_{j in labels} |e_j^k>."""
-    return _density(state, *state.layout.split(labels))
+    keep = state.layout.ordered(labels)
+    return _density(state, keep, state._traced_counts(keep))
 
 
 def reduced_spectrum(state: BranchState, labels) -> np.ndarray:
@@ -490,21 +487,27 @@ def reduced_spectrum(state: BranchState, labels) -> np.ndarray:
     that trace out as many labels of each record class share one
     (read-only) spectrum, computed once per state.
     """
+    return _spectrum(state, labels)[1]
+
+
+def _spectrum(state: BranchState, labels):
+    """The per-class counts of the labels a reduction to ``labels``
+    traces out, and its ``reduced_spectrum``, kept under those counts."""
     labels = _label_tuple(labels)
     counts = state._traced_counts(labels)
     if not labels:
         raise EmptyKeepSet("keep set must be non-empty")
     if not any(counts):
-        return np.ones(1)
+        return counts, np.ones(1)
     key = ("spectrum", counts)
     if key not in state._results:
         keep, traced = state.layout.split(labels)
         if state.layout.labels[0] not in keep:
-            keep, traced = traced, keep
-        eigs = np.linalg.eigvalsh(_density(state, keep, traced))
+            keep = traced
+        eigs = np.linalg.eigvalsh(_density(state, keep, counts))
         eigs.flags.writeable = False
         state._results[key] = eigs
-    return state._results[key]
+    return counts, state._results[key]
 
 
 def branch_outcomes(state: BranchState, system, fragment,
@@ -515,8 +518,8 @@ def branch_outcomes(state: BranchState, system, fragment,
     with w = B_b^* R_F^T, row k of R_F being the Kronecker product of the
     fragment labels' kets k in layout order."""
     layout, system = state.layout, _label_tuple(system)
-    joint = _density(state, system,
-                     layout.complement(system + _label_tuple(fragment)))
+    traced = layout.complement(system + _label_tuple(fragment))
+    joint = _density(state, system, state._traced_counts(traced))
     frag = state._rows(layout.ordered(fragment))
     w = _basis_rows(basis, frag.shape[1]).conj() @ frag.T
     return joint * (w[:, :, np.newaxis] * w[:, np.newaxis, :].conj())
@@ -569,20 +572,15 @@ def _degenerate_order(s: np.ndarray, firsts: np.ndarray) -> np.ndarray:
     return np.array(sorted(range(len(s)), key=lambda i: keys[i]), dtype=int)
 
 
-def schmidt_reconstruct(sd: SchmidtDecomposition,
-                        layout: SpaceLayout) -> PureState:
-    """Rebuild the state from a decomposition (for round-trip checks)."""
-    mat = (sd.left_basis * sd.coefficients[np.newaxis, :]) @ sd.right_basis.T
-    front = sd.left_labels + sd.right_labels
-    arr = mat.reshape([layout.dim(l) for l in front])
-    arr = np.moveaxis(arr, range(len(front)), [layout.index(l) for l in front])
-    return PureState(layout, arr.ravel())
+def _basis_matrix(basis) -> np.ndarray:
+    """The basis vectors, each flattened, as the rows of a matrix."""
+    return np.asarray([np.asarray(b, dtype=complex).ravel() for b in basis])
 
 
 def _basis_rows(basis, dim: int) -> np.ndarray:
-    """The basis vectors as the rows of a matrix, checked to be ``dim``
-    orthonormal vectors of dimension ``dim``."""
-    bmat = np.asarray([np.asarray(b, dtype=complex).ravel() for b in basis])
+    """``_basis_matrix(basis)``, checked to be ``dim`` orthonormal vectors
+    of dimension ``dim``."""
+    bmat = _basis_matrix(basis)
     if bmat.shape != (dim, dim):
         raise BadBasis(f"need {dim} vectors of dimension {dim}")
     if np.max(np.abs(bmat.conj() @ bmat.T - np.eye(dim))) > STATE_TOL:
@@ -628,36 +626,3 @@ def global_phase_distance(a: PureState, b: PureState) -> float:
     ov = np.vdot(b.amplitudes, a.amplitudes)
     phase = ov / abs(ov) if abs(ov) > 0 else 1.0
     return float(np.linalg.norm(a.amplitudes - phase * b.amplitudes))
-
-
-def states_equal_up_to_global_phase(a: PureState, b: PureState,
-                                    tol: float = STATE_TOL) -> bool:
-    """True iff min_theta ||a - e^{i theta} b|| <= tol."""
-    return global_phase_distance(a, b) <= tol
-
-
-# ---------------------------------------------------------------------------
-# serialization (shared state file format)
-
-def state_to_dict(state: PureState) -> dict:
-    return {
-        "layout": [{"label": l, "dim": d} for l, d in state.layout.subsystems],
-        "amplitudes": [[float(z.real), float(z.imag)]
-                       for z in state.amplitudes],
-    }
-
-
-def state_from_dict(doc: dict) -> PureState:
-    layout = SpaceLayout([(e["label"], e["dim"]) for e in doc["layout"]])
-    amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
-    return PureState(layout, amps)
-
-
-def save_state(state: PureState, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(state_to_dict(state), fh)
-
-
-def load_state(path) -> PureState:
-    with open(path) as fh:
-        return state_from_dict(json.load(fh))

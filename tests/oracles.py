@@ -8,7 +8,27 @@ state that the library's structured counting path replaces, and the
 branch-state builder keeps the gate chain that ``BranchState.dense``
 replaces.  The comparison-state builder realizes the endpoints of the
 rational bounds.
+
+The dense-state helpers that no scenario of the ``envlab`` command
+reaches live here too, as the tests' reference: one-subsystem states,
+Schmidt reconstruction, equality up to global phase, the gates that
+pre-measure, entangle an environment and write an observer's record,
+the observer's conditional outcome table, subset probabilities, the
+phase-sensitivity witness, and the state files.  ``save_state`` /
+``load_state`` use a small JSON format::
+
+    {
+      "layout": [{"label": "S", "dim": 2}, {"label": "E", "dim": 2}],
+      "amplitudes": [[0.7071067811865476, 0.0], [0.0, 0.0],
+                     [0.0, 0.0], [0.7071067811865476, 0.0]]
+    }
+
+Amplitudes are ``[re, im]`` pairs in row-major order: the leftmost
+layout entry is the slowest-varying index.
 """
+import json
+from dataclasses import dataclass
+
 import numpy as np
 
 from envlab import errors
@@ -18,14 +38,167 @@ from envlab.envariance import (
     equal_amplitude_probabilities,
     fine_grain,
 )
-from envlab.measurement_models import broadcast_environment, premeasure
+from envlab.errors import BadIndex, InvalidBipartition, LayoutMismatch
+from envlab.info_measures import trace_distance
+from envlab.measurement_models import _write_record, broadcast_environment
 from envlab.tensor_core import (
+    KERNEL_TOL,
+    STATE_TOL,
+    PureState,
+    SchmidtDecomposition,
+    SpaceLayout,
+    _grouped,
     _label_tuple,
     attach_ready,
+    controlled_shift,
+    global_phase_distance,
+    partial_trace,
     schmidt_decompose,
-    single_state,
 )
 
+
+# ---------------------------------------------------------------------------
+# dense states and state files
+
+def single_state(label: str, amplitudes) -> PureState:
+    """One-subsystem state from a raw amplitude vector (normalized check)."""
+    amps = np.asarray(amplitudes, dtype=complex).ravel()
+    return PureState(SpaceLayout([(label, amps.size)]), amps)
+
+
+def schmidt_reconstruct(sd: SchmidtDecomposition,
+                        layout: SpaceLayout) -> PureState:
+    """Rebuild the state from a decomposition (for round-trip checks)."""
+    mat = (sd.left_basis * sd.coefficients[np.newaxis, :]) @ sd.right_basis.T
+    front = sd.left_labels + sd.right_labels
+    arr = mat.reshape([layout.dim(l) for l in front])
+    arr = np.moveaxis(arr, range(len(front)), [layout.index(l) for l in front])
+    return PureState(layout, arr.ravel())
+
+
+def states_equal_up_to_global_phase(a: PureState, b: PureState,
+                                    tol: float = STATE_TOL) -> bool:
+    """True iff min_theta ||a - e^{i theta} b|| <= tol."""
+    return global_phase_distance(a, b) <= tol
+
+
+def state_to_dict(state: PureState) -> dict:
+    return {
+        "layout": [{"label": l, "dim": d} for l, d in state.layout.subsystems],
+        "amplitudes": [[float(z.real), float(z.imag)]
+                       for z in state.amplitudes],
+    }
+
+
+def state_from_dict(doc: dict) -> PureState:
+    layout = SpaceLayout([(e["label"], e["dim"]) for e in doc["layout"]])
+    amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
+    return PureState(layout, amps)
+
+
+def save_state(state: PureState, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(state_to_dict(state), fh)
+
+
+def load_state(path) -> PureState:
+    with open(path) as fh:
+        return state_from_dict(json.load(fh))
+
+
+# ---------------------------------------------------------------------------
+# gates and observer records
+
+@dataclass(frozen=True)
+class ObserverOutcomeTable:
+    """Prior over pointer outcomes and p(s_l | mu_k) rows per memory
+    outcome.  Rows whose memory probability is < KERNEL_TOL fall back to the
+    prior and are flagged in ``defined``."""
+
+    prior: np.ndarray
+    conditional: np.ndarray
+    defined: np.ndarray
+
+
+def premeasure(state: PureState, system: str, apparatus: str) -> PureState:
+    """Controlled shift |s_k>|A_0> -> |s_k>|A_k> (pre-measurement)."""
+    return _write_record(state, system, apparatus, "apparatus")
+
+
+def entangle_environment(state: PureState, pointer: str,
+                         environment: str) -> PureState:
+    """Controlled shift from the pointer onto a fresh environment."""
+    return _write_record(state, pointer, environment, "environment")
+
+
+def observer_record(state: PureState, system: str, memory: str) -> PureState:
+    """Copy the system's pointer index onto the observer's memory."""
+    return _write_record(state, system, memory, "memory")
+
+
+def conditional_probability(state: PureState, memory: str,
+                            system: str) -> ObserverOutcomeTable:
+    """Prior over pointer outcomes and p(s_l | mu_k) per memory outcome,
+    read from the joint distribution |psi|^2 over (memory, system)."""
+    if memory == system:
+        raise InvalidBipartition(f"memory and system are both {memory!r}")
+    arr, _ = _grouped(state, memory, system)
+    joint = np.sum(np.abs(arr) ** 2, axis=2)
+    prior = joint.sum(axis=0)
+    weight = joint.sum(axis=1)
+    defined = weight >= KERNEL_TOL
+    conditional = np.tile(prior, (len(joint), 1))
+    conditional[defined] = joint[defined] / weight[defined, np.newaxis]
+    return ObserverOutcomeTable(prior, conditional, defined)
+
+
+# ---------------------------------------------------------------------------
+# subset probabilities and the phase-sensitivity witness
+
+def subset_probability(state: PureState, system, indices) -> float:
+    """Additive probability n/N of a subset of equal-amplitude outcomes."""
+    p = equal_amplitude_probabilities(state, system)
+    n = p.size
+    chosen = set(int(i) for i in indices)
+    if any(i < 0 or i >= n for i in chosen):
+        raise BadIndex(f"subset {sorted(chosen)} outside range({n})")
+    return len(chosen) / n
+
+
+def phase_sensitivity_witness(psi: PureState, psi_prime: PureState):
+    """(interference gap, post-entanglement reduced-operator gap).
+
+    The first number is the largest expectation gap over the pairwise
+    X/Y interference observables (Hadamard-type eigenbases); the second
+    is the trace distance between the reduced operators after each state
+    is entangled with a fresh record environment.
+    """
+    if psi.layout != psi_prime.layout:
+        raise LayoutMismatch("states live on different layouts")
+    if len(psi.layout.labels) != 1:
+        raise LayoutMismatch("witness defined for single-subsystem states")
+    label = psi.layout.labels[0]
+    d = psi.layout.dims[0]
+    a, b = psi.amplitudes, psi_prime.amplitudes
+    gap = 0.0
+    for i in range(d):
+        for j in range(i + 1, d):
+            zx = np.conj(a[i]) * a[j] - np.conj(b[i]) * b[j]
+            gap = max(gap, abs(2.0 * zx.real), abs(2.0 * zx.imag))
+
+    rec = f"{label}_rec"
+
+    def reduced(state):
+        joined = attach_ready(state, rec, d)
+        entangled = controlled_shift(joined, label, rec)
+        return partial_trace(entangled, [label])
+
+    post_gap = trace_distance(reduced(psi), reduced(psi_prime))
+    return float(gap), float(post_gap)
+
+
+# ---------------------------------------------------------------------------
+# oracles for the structured kernels
 
 def build_branch_state(spec, apparatus=None, environments=()):
     """The branch state of ``spec`` built gate by gate: the system state,

@@ -15,11 +15,9 @@ from envlab.envariance import (
     equal_amplitude_probabilities,
     fine_grain,
     is_envariant,
-    phase_sensitivity_witness,
     rational_bounds,
     schmidt_phase_unitary,
     schmidt_probabilities,
-    subset_probability,
 )
 from envlab.info_measures import (
     FragmentSpec,
@@ -29,10 +27,6 @@ from envlab.info_measures import (
 from envlab.measurement_models import (
     BranchSpec,
     build_branch_state,
-    conditional_probability,
-    entangle_environment,
-    observer_record,
-    premeasure,
 )
 from envlab.tensor_core import (
     PureState,
@@ -41,15 +35,21 @@ from envlab.tensor_core import (
     basis_state,
     partial_trace,
     schmidt_decompose,
-    single_state,
-    states_equal_up_to_global_phase,
     tensor_product,
 )
 
 from oracles import (
+    conditional_probability,
+    entangle_environment,
     enumerate_equal_terms,
     mutual_information_oracle,
+    observer_record,
     partial_trace_oracle,
+    phase_sensitivity_witness,
+    premeasure,
+    single_state,
+    states_equal_up_to_global_phase,
+    subset_probability,
 )
 
 

@@ -361,6 +361,42 @@ def test_conditioned_results_keep_the_traced_classes_apart():
         assert values[:3] != values[3:]
 
 
+@pytest.mark.parametrize("basis, message", [
+    ([[1, 0], [1, 0]], "not orthonormal"),
+    # the bytes of the kept basis, in another shape
+    (np.eye(2, dtype=complex).reshape(1, 4), "need 2 vectors of dimension 2"),
+])
+def test_a_basis_is_checked_after_a_kept_result(basis, message):
+    """A kept basis-conditioned average is looked up before its basis is
+    checked; a bad basis of the kept one's size still raises."""
+    state = branch_records(BranchSpec("S", 2, (0.6, 0.8), 0.3), "A",
+                           ["E1", "E2"])
+    split = FragmentSpec("S", "E1")
+    basis_conditioned_mutual_information(state, split, np.eye(2))
+    with pytest.raises(errors.BadBasis, match=message):
+        basis_conditioned_mutual_information(state, split, basis)
+
+
+def test_a_miss_resolves_its_labels_once(monkeypatch):
+    """Where each environment is its own record class, the key of a
+    spectrum is as long as N; a miss resolves the labels for it and
+    hands the counts to the density, never resolving them again."""
+    monkeypatch.setenv("ENVLAB_DIM_GUARD", str(10 ** 400))
+    n = 300
+    layout = SpaceLayout([("S", 2)] + [(f"E{i}", 2) for i in range(n)])
+    state = BranchState(layout, (0.6, 0.8), [np.eye(2)] + [
+        record_states(2, 2, 0.3) for _ in range(n)])
+    calls, real = [], BranchState._traced_counts
+
+    def counting(self, labels):
+        calls.append(labels)
+        return real(self, labels)
+
+    monkeypatch.setattr(BranchState, "_traced_counts", counting)
+    reduced_spectrum(state, ["S", "E0"])
+    assert len(calls) == 1
+
+
 def records_entropy(p0, p1, overlap, m):
     """h_m: the entropy in bits of (1 +- sqrt(1 - 4 p0 p1 (1 - c^2m))) / 2,
     the spectrum of m records at adjacent overlap c of a two-branch

@@ -1,4 +1,6 @@
+import ast
 import csv
+import importlib
 import io
 import json
 import pathlib
@@ -8,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from envlab import cli, envariance, tensor_core
+from envlab import cli, envariance, info_measures, tensor_core
 from envlab.cli import main
 from envlab.info_measures import (
     FragmentSpec,
@@ -654,9 +656,15 @@ def test_system_entropy_gap_is_roundoff(capsys, argv):
 
 def test_system_entropy_gap_sees_a_kernel_fault(capsys, monkeypatch):
     real = tensor_core._density
+
     # the Gram product over the traced labels leaves out the apparatus
-    monkeypatch.setattr(tensor_core, "_density", lambda state, keep, traced:
-                        real(state, keep, [l for l in traced if l != "A"]))
+    def without_apparatus(state, keep, counts):
+        counts = list(counts)
+        if "A" not in keep:
+            counts[state._classes[state.layout.index("A")]] -= 1
+        return real(state, keep, counts)
+
+    monkeypatch.setattr(tensor_core, "_density", without_apparatus)
     assert system_entropy_gap(capsys, IMPERFECT_REDUNDANCY) > 1e-3
 
 
@@ -711,3 +719,50 @@ def test_a_kept_result_resolves_no_label_set(capsys, monkeypatch, argv,
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(calls) <= label_sets
+
+
+@pytest.mark.parametrize("modules, name, argv, env_counts", [
+    # an entropy is summed once per distinct spectrum
+    ((info_measures,), "_entropy_bits",
+     ("redundancy", "--amplitudes", "0.6,0.8", "--overlap", "0.3"), (20, 200)),
+    # a basis is checked once per average computed
+    ((tensor_core, info_measures), "_basis_rows",
+     ("cascade", "--amplitudes", "0.6,0.8"), (5, 50)),
+])
+def test_a_kept_result_is_looked_up_without_numpy_work(
+        capsys, monkeypatch, modules, name, argv, env_counts):
+    """A lookup that hits a kept result sums no entropy and checks no
+    basis, so the calls made do not grow with the environment count."""
+    monkeypatch.setenv("ENVLAB_DIM_GUARD", str(10 ** 400))
+    calls, real = [], getattr(modules[0], name)
+
+    def counting(*args):
+        calls.append(name)
+        return real(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    made = []
+    for n in env_counts:
+        calls.clear()
+        code, _, _ = run_cli(capsys, *argv, "--env-count", str(n))
+        assert code == 0
+        made.append(len(calls))
+    assert made[0] == made[1]
+
+
+def test_every_traced_name_resolves():
+    """The benchmark's tracer wraps each name of its ``TRACED`` table,
+    found with getattr on ``envlab.<module>``; the table is read from the
+    source, so the benchmark is not imported."""
+    tracer = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    table = next(node.value for node in ast.parse(tracer.read_text()).body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["TRACED"])
+    traced = ast.literal_eval(table)
+    assert traced
+    missing = [f"{module}.{name}" for module, names in traced.items()
+               for name in names
+               if not hasattr(importlib.import_module(f"envlab.{module}"),
+                              name)]
+    assert missing == []

@@ -15,12 +15,10 @@ from envlab.envariance import (
     find_commensurate_denominator,
     fine_grain,
     is_envariant,
-    phase_sensitivity_witness,
     rational_bounds,
     schmidt_phase_unitary,
     schmidt_probabilities,
     schmidt_swap_unitary,
-    subset_probability,
 )
 from envlab.tensor_core import (
     KERNEL_TOL,
@@ -31,15 +29,17 @@ from envlab.tensor_core import (
     partial_trace,
     schmidt_decompose,
     schmidt_state,
-    single_state,
-    states_equal_up_to_global_phase,
 )
 
 from oracles import (
     dense_born_probabilities,
     endpoint_counts,
     enumerate_equal_terms,
+    phase_sensitivity_witness,
     scalar_commensurate_denominator,
+    single_state,
+    states_equal_up_to_global_phase,
+    subset_probability,
 )
 
 

@@ -22,11 +22,10 @@ from envlab.tensor_core import (
     basis_state,
     controlled_shift,
     partial_trace,
-    single_state,
     tensor_product,
 )
 
-from oracles import entropy_oracle, mutual_information_oracle
+from oracles import entropy_oracle, mutual_information_oracle, single_state
 
 
 def chain_state(amplitudes, n_env, overlap=0.0):

@@ -42,8 +42,9 @@ from envlab.tensor_core import (
     reduced_spectrum,
     relative_states,
     schmidt_decompose,
-    single_state,
 )
+
+from oracles import single_state
 
 SPEC = BranchSpec("Sys", 2, [0.6, 0.8], 0.3)
 DENSE = build_branch_state(SPEC, "App", ["E1", "E2"])

@@ -13,10 +13,6 @@ from envlab.measurement_models import (
     broadcast_environment,
     build_branch_state,
     cascade_environment,
-    conditional_probability,
-    entangle_environment,
-    observer_record,
-    premeasure,
     record_states,
 )
 from envlab.tensor_core import (
@@ -27,8 +23,15 @@ from envlab.tensor_core import (
     partial_trace,
     relative_states,
     schmidt_decompose,
-    single_state,
     tensor_product,
+)
+
+from oracles import (
+    conditional_probability,
+    entangle_environment,
+    observer_record,
+    premeasure,
+    single_state,
 )
 
 

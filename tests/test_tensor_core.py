@@ -12,19 +12,23 @@ from envlab.tensor_core import (
     basis_state,
     controlled_shift,
     global_phase_distance,
-    load_state,
     partial_trace,
     relative_states,
-    save_state,
     schmidt_decompose,
-    schmidt_reconstruct,
     schmidt_state,
-    single_state,
-    states_equal_up_to_global_phase,
     tensor_product,
 )
 
-from oracles import kron_embed_oracle, outer_product_oracle, partial_trace_oracle
+from oracles import (
+    kron_embed_oracle,
+    load_state,
+    outer_product_oracle,
+    partial_trace_oracle,
+    save_state,
+    schmidt_reconstruct,
+    single_state,
+    states_equal_up_to_global_phase,
+)
 
 
 def random_state(rng, dims, labels=None):
