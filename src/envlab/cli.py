@@ -31,7 +31,6 @@ from .envariance import (
 )
 from .info_measures import (
     FragmentSpec,
-    _entropy_bits,
     basis_conditioned_mutual_information,
     redundancy_report,
 )
@@ -40,6 +39,7 @@ from .tensor_core import (
     KERNEL_TOL,
     SubsystemUnitary,
     _check_dimension,
+    _entropy_bits,
     branch_density,
     dimension_guard,
     schmidt_decompose,
@@ -426,7 +426,8 @@ def config_from_args(args) -> ScenarioConfig:
             raise ValidationFailure({"config": f"invalid JSON: {exc}"})
         if not isinstance(doc, dict):
             raise ValidationFailure({"config": "must be a JSON object"})
-    fields, bad = {}, {}
+    fields = {}
+    bad = {key: "unknown config field" for key in doc if key not in _FIELDS}
     for key in _FIELDS:
         flag = getattr(args, key)
         value = flag if flag is not None else doc.get(key)

@@ -19,13 +19,13 @@ from .tensor_core import (
     BranchState,
     DensityOperator,
     PureState,
-    _basis_matrix,
+    _average_entropy,
     _basis_rows,
-    _check_pointer,
+    _conditioned_entropy,
+    _entropy_bits,
     _grouped,
     _label_tuple,
-    _spectrum,
-    branch_outcomes,
+    _reduction,
     partial_trace,
 )
 
@@ -67,12 +67,6 @@ class RedundancyReport:
         return out
 
 
-def _entropy_bits(eigs: np.ndarray) -> float:
-    """-sum x log2 x over the eigenvalues above KERNEL_TOL, >= 0."""
-    p = eigs[eigs > KERNEL_TOL]
-    return max(0.0, float(-(p * np.log2(p)).sum()))
-
-
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """-sum p log2 p over the eigenvalues of rho, in bits."""
     return _entropy_bits(rho.eigenvalues())
@@ -82,11 +76,7 @@ def _entropy(state: PureState | BranchState, labels) -> float:
     """Entropy of the reduced state on ``labels``, in bits; a
     ``BranchState`` keeps it next to the spectrum it sums over."""
     if isinstance(state, BranchState):
-        counts, eigs = _spectrum(state, labels)
-        key = ("entropy", counts)
-        if key not in state._results:
-            state._results[key] = _entropy_bits(eigs)
-        return state._results[key]
+        return _reduction(state, labels)[1]
     return von_neumann_entropy(partial_trace(state, labels))
 
 
@@ -133,43 +123,19 @@ def basis_conditioned_mutual_information(
     basis vector; the conditional state of the system is the remainder
     traced down to the system labels (for a ``BranchState``,
     ``branch_outcomes``, so the system must hold the pointer label).
-    Outcomes with probability below ``KERNEL_TOL`` are skipped.  On a
-    ``BranchState`` the average depends only on the basis, on the record
-    classes of the fragment in layout order and on how many labels of
-    each class are traced out, and is computed, its basis checked with
-    it, once per state for each.
+    Outcomes with probability below ``KERNEL_TOL`` are skipped.  A
+    ``BranchState`` keeps the average it computes.
     """
     system, fragment = split.system_labels, split.fragment_labels
     hs = _entropy(state, system)
     if isinstance(state, BranchState):
-        layout = state.layout
-        traced = state._traced_counts(system + fragment)
-        _check_pointer(layout, system)
-        classes = tuple(state._classes[i]
-                        for i in sorted(set(map(layout.index, fragment))))
-        basis = _basis_matrix(fragment_basis)
-        key = ("conditioned", traced, classes, basis.shape, basis.tobytes())
-        if key not in state._results:
-            state._results[key] = _average_entropy(
-                branch_outcomes(state, system, fragment, basis))
-        avg = state._results[key]
+        avg = _conditioned_entropy(state, system, fragment, fragment_basis)
     else:
         arr, _ = _grouped(state, system, state.layout.ordered(fragment))
         rows = _basis_rows(fragment_basis, arr.shape[1]).conj()
         kept = np.einsum("bf,sfr->bsr", rows, arr)
         avg = _average_entropy(kept @ kept.conj().transpose(0, 2, 1))
     return max(0.0, hs - avg)
-
-
-def _average_entropy(outcomes) -> float:
-    """sum_b p_b H(rho_b / p_b) over the unnormalized outcome states
-    rho_b (trace p_b) whose p_b is at least ``KERNEL_TOL``."""
-    avg = 0.0
-    for rho in outcomes:
-        p = np.trace(rho).real
-        if p >= KERNEL_TOL:
-            avg += p * _entropy_bits(np.linalg.eigvalsh(rho / p))
-    return avg
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:

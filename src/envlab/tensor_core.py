@@ -245,20 +245,19 @@ class BranchState:
             return tuple(t - c for t, c in zip(self._totals, inside))
         return tuple(inside)
 
-    def _rows(self, labels) -> np.ndarray:
-        """Row k: the Kronecker product of the ``labels``' kets k, in the
-        order given."""
+    def _rows(self, positions) -> np.ndarray:
+        """Row k: the Kronecker product of kets k of the labels at layout
+        ``positions``, in the order given."""
         rows = np.ones((self.amplitudes.size, 1))
-        for label in labels:
+        for i in positions:
             rows = np.einsum("ki,kj->kij", rows,
-                             self.kets[self.layout.index(label)]
-                             ).reshape(len(rows), -1)
+                             self.kets[i]).reshape(len(rows), -1)
         return rows
 
     def dense(self) -> PureState:
         """The amplitude vector: the pointer kets are |k>, so block k is a_k
         times row k of the other labels' kets, and blocks past n are 0."""
-        rows = self._rows(self.layout.labels[1:])
+        rows = self._rows(range(1, len(self.kets)))
         out = np.zeros((self.layout.dims[0], rows.shape[1]), dtype=complex)
         out[:len(rows)] = self.amplitudes[:, np.newaxis] * rows
         out += 0.0                      # a_k * 0 may be -0.0
@@ -450,30 +449,49 @@ def partial_trace(state, keep) -> DensityOperator:
     raise TypeError(f"unsupported input type {type(state)!r}")
 
 
-def _check_pointer(layout: SpaceLayout, keep) -> None:
-    """Raise unless ``keep`` holds the pointer label."""
-    if layout.labels[0] not in keep:
-        raise InvalidBipartition(
-            f"labels {keep} lack the pointer label {layout.labels[0]!r}")
-
-
-def _density(state: BranchState, keep, counts) -> np.ndarray:
+def _density(state: BranchState, counts) -> np.ndarray:
     """Entry (k, l) = a_k a_l* times the product of G_j[l, k] over the
     labels traced out, ``counts`` of each record class, left to right in
     record-class order: the reduced state over the branch kets of the
-    ``keep`` labels, which must hold the pointer label, so that those
-    kets are orthonormal."""
-    _check_pointer(state.layout, keep)
+    side holding the pointer label, whose kets are orthonormal."""
     g = state._class_grams.repeat(counts, axis=0).prod(axis=0)
     a = state.amplitudes
     return np.outer(a, a.conj()) * g.T
 
 
+def _kept(state: BranchState, system, fragment=()):
+    """The per-class counts of the labels traced out when ``system``,
+    which must hold the pointer label, and ``fragment`` are kept, and the
+    fragment's positions in layout order."""
+    system, fragment = _label_tuple(system), _label_tuple(fragment)
+    counts = state._traced_counts(system + fragment)
+    if state.layout.labels[0] not in system:
+        raise InvalidBipartition(f"labels {system} lack the pointer label "
+                                 f"{state.layout.labels[0]!r}")
+    return counts, sorted(set(map(state.layout.index, fragment)))
+
+
 def branch_density(state: BranchState, labels) -> np.ndarray:
     """Reduced state on ``labels``, which hold the pointer label, as the
     n x n matrix over its branch kets (x)_{j in labels} |e_j^k>."""
-    keep = state.layout.ordered(labels)
-    return _density(state, keep, state._traced_counts(keep))
+    return _density(state, _kept(state, labels)[0])
+
+
+def _entropy_bits(eigs: np.ndarray) -> float:
+    """-sum x log2 x over the eigenvalues above KERNEL_TOL, >= 0."""
+    p = eigs[eigs > KERNEL_TOL]
+    return max(0.0, float(-(p * np.log2(p)).sum()))
+
+
+def _average_entropy(outcomes) -> float:
+    """sum_b p_b H(rho_b / p_b) over the unnormalized outcome states
+    rho_b (trace p_b) whose p_b is at least ``KERNEL_TOL``."""
+    avg = 0.0
+    for rho in outcomes:
+        p = np.trace(rho).real
+        if p >= KERNEL_TOL:
+            avg += p * _entropy_bits(np.linalg.eigvalsh(rho / p))
+    return avg
 
 
 def reduced_spectrum(state: BranchState, labels) -> np.ndarray:
@@ -487,27 +505,23 @@ def reduced_spectrum(state: BranchState, labels) -> np.ndarray:
     that trace out as many labels of each record class share one
     (read-only) spectrum, computed once per state.
     """
-    return _spectrum(state, labels)[1]
+    return _reduction(state, labels)[0]
 
 
-def _spectrum(state: BranchState, labels):
-    """The per-class counts of the labels a reduction to ``labels``
-    traces out, and its ``reduced_spectrum``, kept under those counts."""
+def _reduction(state: BranchState, labels) -> tuple[np.ndarray, float]:
+    """The ``reduced_spectrum`` on ``labels`` and its entropy in bits,
+    kept under the per-class counts of the labels traced out."""
     labels = _label_tuple(labels)
     counts = state._traced_counts(labels)
     if not labels:
         raise EmptyKeepSet("keep set must be non-empty")
     if not any(counts):
-        return counts, np.ones(1)
-    key = ("spectrum", counts)
-    if key not in state._results:
-        keep, traced = state.layout.split(labels)
-        if state.layout.labels[0] not in keep:
-            keep = traced
-        eigs = np.linalg.eigvalsh(_density(state, keep, counts))
+        return np.ones(1), 0.0
+    if counts not in state._results:
+        eigs = np.linalg.eigvalsh(_density(state, counts))
         eigs.flags.writeable = False
-        state._results[key] = eigs
-    return counts, state._results[key]
+        state._results[counts] = eigs, _entropy_bits(eigs)
+    return state._results[counts]
 
 
 def branch_outcomes(state: BranchState, system, fragment,
@@ -517,12 +531,30 @@ def branch_outcomes(state: BranchState, system, fragment,
     the outcome b: ``branch_density(state, system + fragment) * w w^H``
     with w = B_b^* R_F^T, row k of R_F being the Kronecker product of the
     fragment labels' kets k in layout order."""
-    layout, system = state.layout, _label_tuple(system)
-    traced = layout.complement(system + _label_tuple(fragment))
-    joint = _density(state, system, state._traced_counts(traced))
-    frag = state._rows(layout.ordered(fragment))
+    return _outcomes(state, *_kept(state, system, fragment), basis)
+
+
+def _outcomes(state: BranchState, counts, positions, basis) -> np.ndarray:
+    """``branch_outcomes`` given what ``_kept`` returns for it."""
+    joint = _density(state, counts)
+    frag = state._rows(positions)
     w = _basis_rows(basis, frag.shape[1]).conj() @ frag.T
     return joint * (w[:, :, np.newaxis] * w[:, np.newaxis, :].conj())
+
+
+def _conditioned_entropy(state: BranchState, system, fragment,
+                         basis) -> float:
+    """``_average_entropy`` of the ``branch_outcomes``, kept under the
+    traced counts, the fragment's record classes in layout order and the
+    basis; the basis is checked only when the average is computed."""
+    counts, positions = _kept(state, system, fragment)
+    bmat = _basis_matrix(basis)
+    key = ("conditioned", counts, tuple(state._classes[i] for i in positions),
+           bmat.shape, bmat.tobytes())
+    if key not in state._results:
+        state._results[key] = _average_entropy(
+            _outcomes(state, counts, positions, bmat))
+    return state._results[key]
 
 
 def _leading_index(columns: np.ndarray) -> np.ndarray:

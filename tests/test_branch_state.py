@@ -379,22 +379,39 @@ def test_a_basis_is_checked_after_a_kept_result(basis, message):
 
 def test_a_miss_resolves_its_labels_once(monkeypatch):
     """Where each environment is its own record class, the key of a
-    spectrum is as long as N; a miss resolves the labels for it and
-    hands the counts to the density, never resolving them again."""
+    result is as long as N; a miss resolves the labels for it and hands
+    the counts to the density, never resolving them again.  A
+    basis-conditioned miss counts each label set it keys on, S for H(S)
+    and S plus the fragment for the average, and no kernel builds an
+    N-long tuple of the labels traced out."""
     monkeypatch.setenv("ENVLAB_DIM_GUARD", str(10 ** 400))
     n = 300
     layout = SpaceLayout([("S", 2)] + [(f"E{i}", 2) for i in range(n)])
-    state = BranchState(layout, (0.6, 0.8), [np.eye(2)] + [
-        record_states(2, 2, 0.3) for _ in range(n)])
-    calls, real = [], BranchState._traced_counts
+
+    def fresh():
+        return BranchState(layout, (0.6, 0.8), [np.eye(2)] + [
+            record_states(2, 2, 0.3) for _ in range(n)])
+
+    calls, splits = [], []
+    real_counts, real_split = BranchState._traced_counts, SpaceLayout.split
 
     def counting(self, labels):
-        calls.append(labels)
-        return real(self, labels)
+        calls.append(tuple(labels))
+        return real_counts(self, labels)
+
+    def splitting(self, labels):
+        splits.append(labels)
+        return real_split(self, labels)
 
     monkeypatch.setattr(BranchState, "_traced_counts", counting)
-    reduced_spectrum(state, ["S", "E0"])
-    assert len(calls) == 1
+    monkeypatch.setattr(SpaceLayout, "split", splitting)
+    reduced_spectrum(fresh(), ["S", "E0"])
+    assert calls == [("S", "E0")]
+    calls.clear()
+    basis_conditioned_mutual_information(fresh(), FragmentSpec("S", "E0"),
+                                         np.eye(2))
+    assert calls == [("S",), ("S", "E0")]
+    assert splits == []
 
 
 def records_entropy(p0, p1, overlap, m):

@@ -164,12 +164,18 @@ def fresh_branch():
 
 
 @pytest.mark.parametrize("call, label_sets", [
-    (lambda: reduced_spectrum(fresh_branch(), ["Sys", "App"]), 1),
+    # the branch kernels count the labels they are given by position and
+    # never split the layout: their keys and products need no N-long tuple
+    pytest.param(lambda: reduced_spectrum(fresh_branch(), ["Sys", "App"]), 0,
+                 id="reduced_spectrum"),
     # the other side reduced
-    (lambda: reduced_spectrum(fresh_branch(), "E1"), 1),
-    (lambda: branch_density(fresh_branch(), ["Sys", "E2"]), 1),
-    (lambda: branch_outcomes(fresh_branch(), "Sys", ["E1", "E2"],
-                             np.kron(FOURIER, FOURIER)), 2),
+    pytest.param(lambda: reduced_spectrum(fresh_branch(), "E1"), 0,
+                 id="reduced_spectrum_other_side"),
+    pytest.param(lambda: branch_density(fresh_branch(), ["Sys", "E2"]), 0,
+                 id="branch_density"),
+    pytest.param(lambda: branch_outcomes(fresh_branch(), "Sys", ["E1", "E2"],
+                                         np.kron(FOURIER, FOURIER)), 0,
+                 id="branch_outcomes"),
     pytest.param(lambda: partial_trace(DENSE, ["Sys", "E1"]), 1,
                  id="partial_trace"),
     pytest.param(lambda: schmidt_decompose(DENSE, "Sys"), 1,
