@@ -131,7 +131,7 @@ def basis_conditioned_mutual_information(
     if isinstance(state, BranchState):
         avg = _conditioned_entropy(state, system, fragment, fragment_basis)
     else:
-        arr, _ = _grouped(state, system, state.layout.ordered(fragment))
+        arr, _ = _grouped(state, system, state.layout.split(fragment)[0])
         rows = _basis_rows(fragment_basis, arr.shape[1]).conj()
         kept = np.einsum("bf,sfr->bsr", rows, arr)
         avg = _average_entropy(kept @ kept.conj().transpose(0, 2, 1))

@@ -41,9 +41,8 @@ def dimension_guard() -> int:
     raw = os.environ.get("ENVLAB_DIM_GUARD")
     try:
         return int(raw) if raw else DEFAULT_DIM_GUARD
-    except ValueError:
-        raise ValueError(
-            f"ENVLAB_DIM_GUARD must be an integer, got {raw!r}") from None
+    except ValueError as exc:   # past its digit limit, int() names the limit
+        raise ValueError(f"ENVLAB_DIM_GUARD: {exc}") from None
 
 
 def _label_tuple(labels) -> tuple[str, ...]:
@@ -121,20 +120,12 @@ class SpaceLayout:
         return (tuple(l for i, l in enumerate(self.labels) if i in inside),
                 tuple(l for i, l in enumerate(self.labels) if i not in inside))
 
-    def ordered(self, labels) -> tuple[str, ...]:
-        """The given labels in layout order."""
-        return self.split(labels)[0]
-
     def restrict(self, labels) -> "SpaceLayout":
         """The layout over ``labels``, in the order given."""
         return SpaceLayout([(l, self.dim(l)) for l in _label_tuple(labels)])
 
     def subdim(self, labels) -> int:
         return math.prod(self.dim(l) for l in _label_tuple(labels))
-
-    def complement(self, labels) -> tuple[str, ...]:
-        """The layout's labels not in ``labels``, in layout order."""
-        return self.split(labels)[1]
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -429,24 +420,15 @@ def controlled_shift(state: PureState, controls, target: str) -> PureState:
     return restore(work)
 
 
-def partial_trace(state, keep) -> DensityOperator:
-    """Trace out everything except the ``keep`` labels."""
-    layout = state.layout
-    keep, traced = layout.split(keep)
+def partial_trace(state: PureState, keep) -> DensityOperator:
+    """The reduced state of a PureState on the ``keep`` labels."""
+    if not isinstance(state, PureState):
+        raise TypeError(f"not a PureState: {type(state).__name__}")
+    keep = state.layout.split(keep)[0]
     if not keep:
         raise EmptyKeepSet("keep set must be non-empty")
-    if isinstance(state, PureState):
-        mat = matricize(state, keep)
-        return DensityOperator(layout.restrict(keep), mat @ mat.conj().T)
-    if isinstance(state, DensityOperator):
-        t = state.matrix.reshape(layout.dims + layout.dims)
-        m = len(layout.dims)
-        for i in map(layout.index, reversed(traced)):
-            t = np.trace(t, axis1=i, axis2=i + m)
-            m -= 1
-        dk = layout.subdim(keep)
-        return DensityOperator(layout.restrict(keep), t.reshape(dk, dk))
-    raise TypeError(f"unsupported input type {type(state)!r}")
+    mat = matricize(state, keep)
+    return DensityOperator(state.layout.restrict(keep), mat @ mat.conj().T)
 
 
 def _density(state: BranchState, counts) -> np.ndarray:

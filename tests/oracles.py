@@ -364,7 +364,7 @@ def dense_born_probabilities(state, system, tolerance=1e-10, m_cap=10 ** 4):
     coefficients off a full SVD and sum the 1/M weights blockwise; unequal
     coefficients mean the scanned M does not count the state, so bounds
     are asked for instead."""
-    sys_labels = state.layout.ordered(system)
+    sys_labels = state.layout.split(system)[0]
     sd = schmidt_decompose(state, sys_labels)
     probs = sd.coefficients[: sd.rank] ** 2
     m, counts = scalar_commensurate_denominator(probs, tolerance, m_cap)

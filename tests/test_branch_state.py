@@ -50,7 +50,7 @@ def both_paths(amps, n_env, overlap):
 def dense_spectrum(state, labels):
     """Descending eigenvalues of rho on ``labels`` or on its complement,
     whichever is smaller (a pure state's sides share their spectrum)."""
-    rest = state.layout.complement(labels)
+    rest = state.layout.split(labels)[1]
     if not rest:
         return np.array([np.vdot(state.amplitudes, state.amplitudes).real])
     if state.layout.subdim(rest) < state.layout.subdim(labels):

@@ -489,6 +489,17 @@ class TestPlumbing:
         assert code == 2
         assert list(json.loads(err)["fields"]) == ["ENVLAB_DIM_GUARD"]
 
+    def test_dimension_guard_past_the_int_digit_limit(self, capsys,
+                                                      monkeypatch):
+        # an integer, but longer than int() reads: the message names the
+        # limit and does not echo the value
+        limit = sys.get_int_max_str_digits()
+        monkeypatch.setenv("ENVLAB_DIM_GUARD", "9" * (limit + 1))
+        code, _, err = run_cli(capsys, "born", "--amplitudes", "1,1")
+        assert code == 2
+        detail = json.loads(err)["fields"]["ENVLAB_DIM_GUARD"]
+        assert f"({limit} digits)" in detail and "9" * 20 not in detail
+
     @pytest.mark.parametrize("doc, field", [
         ({"amplitudes": [1, 1], "env_count": "x"}, "env_count"),
         ({"amplitudes": "1,1"}, "amplitudes"),

@@ -67,8 +67,6 @@ def _report(r):
 
 # each case takes ``w``, which passes a label either bare or in a list
 CASES = {
-    "ordered": lambda w: DENSE.layout.ordered(w("E1")),
-    "complement": lambda w: DENSE.layout.complement(w("E1")),
     "split": lambda w: DENSE.layout.split(w("E1")),
     "subdim": lambda w: DENSE.layout.subdim(w("E1")),
     "restrict": lambda w: DENSE.layout.restrict(w("E1")).subsystems,
@@ -139,16 +137,13 @@ def test_bare_label_is_one_label(name):
 def test_bare_environment_is_one_subsystem():
     assert branch_records(SPEC, "App", "E1").layout.labels == (
         "Sys", "App", "E1")
-    assert DENSE.layout.complement("E1") == ("Sys", "App", "E2")
+    assert DENSE.layout.split("E1")[1] == ("Sys", "App", "E2")
 
 
 def test_first_unknown_label_is_named():
-    # the same label in every process, whatever the string hash seed;
-    # complement raised nothing and returned every label
-    layout = DENSE.layout
-    for resolve in (layout.ordered, layout.complement, layout.split):
-        with pytest.raises(errors.UnknownLabel, match="'X1'"):
-            resolve(["Sys", "X1", "X2", "X3", "X4", "X5", "X6"])
+    # the same label in every process, whatever the string hash seed
+    with pytest.raises(errors.UnknownLabel, match="'X1'"):
+        DENSE.layout.split(["Sys", "X1", "X2", "X3", "X4", "X5", "X6"])
 
 
 def test_index_of_unknown_label():

@@ -5,6 +5,7 @@ import pytest
 
 from envlab import errors
 from envlab.tensor_core import (
+    BranchState,
     PureState,
     SpaceLayout,
     SubsystemUnitary,
@@ -203,13 +204,14 @@ class TestPartialTrace:
             assert abs(np.trace(rho.matrix) - 1) < 1e-10
             assert np.linalg.eigvalsh(rho.matrix).min() > -1e-10
 
-    def test_density_operator_input(self):
-        rng = np.random.default_rng(8)
-        st = random_state(rng, [2, 2, 2])
-        rho_full = partial_trace(st, ["Q0", "Q1", "Q2"])
-        via_op = partial_trace(rho_full, ["Q1"])
-        direct = partial_trace(st, ["Q1"])
-        np.testing.assert_allclose(via_op.matrix, direct.matrix, atol=1e-12)
+    def test_pure_state_input_only(self):
+        # the type is checked before the keep set, so an unknown label
+        # cannot mask it
+        layout = SpaceLayout([("S", 2), ("E", 2)])
+        for state in (partial_trace(bell_state(), ["S", "E"]),
+                      BranchState(layout, [0.6, 0.8], [np.eye(2)] * 2)):
+            with pytest.raises(TypeError, match=type(state).__name__):
+                partial_trace(state, ["X"])
 
     def test_empty_keep(self):
         with pytest.raises(errors.EmptyKeepSet):
