@@ -32,7 +32,6 @@ from .info_measures import (
     von_neumann_entropy,
 )
 from .measurement_models import (
-    BranchSpec,
     branch_records,
     broadcast_environment,
     build_branch_state,

@@ -34,7 +34,7 @@ from .info_measures import (
     basis_conditioned_mutual_information,
     redundancy_report,
 )
-from .measurement_models import BranchSpec, branch_records
+from .measurement_models import branch_records
 from .tensor_core import (
     KERNEL_TOL,
     SubsystemUnitary,
@@ -148,8 +148,7 @@ def _fmt(x) -> str:
 def _run_einselect(cfg: ScenarioConfig) -> tuple[dict, dict]:
     amps = cfg.unit_amplitudes()
     d = amps.size
-    spec = BranchSpec("S", d, amps, cfg.overlap)
-    state = branch_records(spec, apparatus="A", environments="E")
+    state = branch_records("S", amps, "A", "E", cfg.overlap)
     # rho_SA vanishes off the branch kets |k>_S|k>_A
     mat = branch_density(state, ["S", "A"])
     offdiag = float(np.max(np.abs(mat - np.diag(np.diag(mat)))))
@@ -161,11 +160,9 @@ def _run_einselect(cfg: ScenarioConfig) -> tuple[dict, dict]:
 
 def _run_redundancy(cfg: ScenarioConfig) -> tuple[dict, dict]:
     amps = cfg.unit_amplitudes()
-    d = amps.size
-    spec = BranchSpec("S", d, amps, cfg.overlap)
-    _check_dimension([(d, cfg.env_count + 2)])    # before building N labels
+    _check_dimension([(amps.size, cfg.env_count + 2)])  # before N labels
     envs = [f"E{i + 1}" for i in range(cfg.env_count)]
-    state = branch_records(spec, apparatus="A", environments=envs)
+    state = branch_records("S", amps, "A", envs, cfg.overlap)
     report = redundancy_report(state, "S", envs)
     # A holds a perfect record, so rho_S = diag(|a_k|^2)
     residuals = {
@@ -184,7 +181,12 @@ def _run_born(cfg: ScenarioConfig) -> tuple[dict, dict]:
     try:
         counted = count_spectrum(probs, cfg.tolerance, cfg.m_cap, cfg.m_cap)
     except errors.UseBoundsInstead:
-        bounds_m = bounds_m or [100, 1000, 10000]
+        # the user's bounds passed validate; the defaults must reach n
+        n = np.count_nonzero(present_outcomes(probs))
+        bounds_m = bounds_m or [m for m in (100, 1000, 10000) if m >= n]
+        if not bounds_m:
+            raise ValidationFailure({"bounds_m": "no default bounding "
+                                     f"denominator reaches the {n} outcomes"})
     else:
         gaps = np.abs(counted - probs)
         tables["born"] = list(zip(range(probs.size), counted, probs, gaps))
@@ -230,8 +232,7 @@ def _run_cascade(cfg: ScenarioConfig) -> tuple[dict, dict]:
     immediate = [f"E{i + 1}" for i in range(cfg.env_count)]
     distant = [f"F{i + 1}" for i in range(cfg.env_count)]
     # perfect records: the c-shift from E_i copies its record onto F_i
-    state = branch_records(BranchSpec("S", d, amps, 0.0), None,
-                           immediate + distant)
+    state = branch_records("S", amps, None, immediate + distant)
     pointer_basis = np.eye(d)
     conjugate_basis = np.array(
         [[np.exp(2j * np.pi * i * j / d) / np.sqrt(d) for j in range(d)]

@@ -11,8 +11,6 @@ recovers orthonormal basis records.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -20,7 +18,6 @@ from .errors import (
     BadOverlap,
     DimensionMismatch,
     LengthMismatch,
-    NotNormalized,
 )
 from .tensor_core import (
     STATE_TOL,
@@ -30,36 +27,6 @@ from .tensor_core import (
     _label_tuple,
     _grouped,
 )
-
-
-@dataclass(frozen=True)
-class BranchSpec:
-    """Recipe for a branch state: amplitudes over the pointer basis plus
-    the record-overlap parameter (0 = perfect records)."""
-
-    system_label: str
-    pointer_dimension: int
-    amplitudes: tuple[complex, ...]
-    record_overlap: float = 0.0
-
-    def __init__(self, system_label, pointer_dimension, amplitudes,
-                 record_overlap=0.0):
-        amps = tuple(complex(a) for a in amplitudes)
-        if pointer_dimension < 2:
-            raise DimensionMismatch("pointer dimension must be >= 2")
-        if len(amps) != pointer_dimension:
-            raise DimensionMismatch(
-                f"{len(amps)} amplitudes for dimension {pointer_dimension}"
-            )
-        nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > STATE_TOL:
-            raise NotNormalized(f"branch amplitudes have norm {nrm}")
-        if not 0.0 <= record_overlap <= 1.0:
-            raise BadOverlap(f"overlap {record_overlap} outside [0, 1]")
-        object.__setattr__(self, "system_label", system_label)
-        object.__setattr__(self, "pointer_dimension", int(pointer_dimension))
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "record_overlap", float(record_overlap))
 
 
 def _write_record(state: PureState, source: str, target: str, what: str,
@@ -100,8 +67,6 @@ def broadcast_environment(state: PureState, pointer: str, environments,
     """Imprint the pointer onto each environment subsystem: branch k
     writes the record e_k at the given adjacent overlap (0 = perfect
     orthonormal records, the plain controlled shift)."""
-    if not 0.0 <= overlap <= 1.0:
-        raise BadOverlap(f"overlap {overlap} outside [0, 1]")
     out = state
     for env in _label_tuple(environments):
         out = _write_record(out, pointer, env, "environment", overlap)
@@ -122,28 +87,31 @@ def cascade_environment(state: PureState, immediate, distant) -> PureState:
     return out
 
 
-def build_branch_state(spec: BranchSpec, apparatus: str | None = None,
-                       environments=()) -> PureState:
+def build_branch_state(system: str, amplitudes, apparatus: str | None = None,
+                       environments=(), overlap: float = 0.0) -> PureState:
     """System branch state, optionally pre-measured by an apparatus and
     broadcast into environment subsystems: ``branch_records``, dense."""
-    return branch_records(spec, apparatus, environments).dense()
+    return branch_records(system, amplitudes, apparatus, environments,
+                          overlap).dense()
 
 
-def branch_records(spec: BranchSpec, apparatus: str | None = None,
-                   environments=()) -> BranchState:
-    """The branch state: the ``spec``'s amplitudes, pre-measured by an
+def branch_records(system: str, amplitudes, apparatus: str | None = None,
+                   environments=(), overlap: float = 0.0) -> BranchState:
+    """The branch state of the ``amplitudes`` over ``system``'s pointer
+    basis (one per basis ket, at least two), pre-measured by an
     ``apparatus`` and broadcast into ``environments``.
 
     The system and the apparatus hold the pointer value itself (kets =
-    identity); each environment holds the ``record_states`` kets at the
-    spec's overlap.  The layout is the nominal space, so the dimension
-    guard applies to its full dimension.
+    identity); each environment holds the ``record_states`` kets at
+    ``overlap`` (0 = perfect records).  The layout is the nominal space,
+    so the dimension guard applies to its full dimension.
     """
-    d = spec.pointer_dimension
+    d = len(amplitudes)
+    if d < 2:
+        raise DimensionMismatch("pointer dimension must be >= 2")
+    recs = record_states(d, d, overlap)
     environments = _label_tuple(environments)
-    perfect = (spec.system_label,) + ((apparatus,) if apparatus is not None
-                                      else ())
+    perfect = (system,) + ((apparatus,) if apparatus is not None else ())
     layout = SpaceLayout([(l, d) for l in perfect + environments])
-    recs = record_states(d, d, spec.record_overlap)
     kets = [np.eye(d)] * len(perfect) + [recs] * len(environments)
-    return BranchState(layout, spec.amplitudes, kets)
+    return BranchState(layout, amplitudes, kets)

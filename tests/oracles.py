@@ -200,21 +200,21 @@ def phase_sensitivity_witness(psi: PureState, psi_prime: PureState):
 # ---------------------------------------------------------------------------
 # oracles for the structured kernels
 
-def build_branch_state(spec, apparatus=None, environments=()):
-    """The branch state of ``spec`` built gate by gate: the system state,
-    a ready apparatus pre-measuring it, then ready environments each
-    written by the pointer's record map."""
-    d = spec.pointer_dimension
-    out = single_state(spec.system_label, spec.amplitudes)
+def build_branch_state(system, amplitudes, apparatus=None, environments=(),
+                       overlap=0.0):
+    """The branch state built gate by gate: the system in the state of
+    ``amplitudes``, a ready apparatus pre-measuring it, then ready
+    environments each written by the pointer's record map."""
+    d = len(amplitudes)
+    out = single_state(system, amplitudes)
     if apparatus is not None:
         out = attach_ready(out, apparatus, d)
-        out = premeasure(out, spec.system_label, apparatus)
-    pointer = apparatus if apparatus is not None else spec.system_label
+        out = premeasure(out, system, apparatus)
+    pointer = apparatus if apparatus is not None else system
     environments = _label_tuple(environments)
     for env in environments:
         out = attach_ready(out, env, d)
-    return broadcast_environment(out, pointer, environments,
-                                 spec.record_overlap)
+    return broadcast_environment(out, pointer, environments, overlap)
 
 
 def outer_product_oracle(a, b):

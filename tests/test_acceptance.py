@@ -25,7 +25,6 @@ from envlab.info_measures import (
     redundancy_report,
 )
 from envlab.measurement_models import (
-    BranchSpec,
     build_branch_state,
 )
 from envlab.tensor_core import (
@@ -107,9 +106,9 @@ def test_criterion_1_worked_born_example():
 def test_criterion_2_redundancy_ratio_counts_records():
     ok = True
     for n in range(1, 11):
-        spec = BranchSpec("S", 2, (1 / np.sqrt(2), 1 / np.sqrt(2)))
         envs = [f"E{i}" for i in range(n)]
-        state = build_branch_state(spec, apparatus="A", environments=envs)
+        state = build_branch_state(
+            "S", (1 / np.sqrt(2), 1 / np.sqrt(2)), "A", envs)
         rep = redundancy_report(state, ["S"], [[e] for e in envs])
         ok &= abs(rep.ratio - n) < 1e-9
     report(2, "redundancy ratio equals environment count", ok)
@@ -205,9 +204,9 @@ def test_criterion_7_bounding_convergence():
 
 
 def test_criterion_8_conditional_collapse():
-    spec = BranchSpec("S", 2, (1 / np.sqrt(2), 1 / np.sqrt(2)))
-    st = tensor_product(build_branch_state(spec),
-                        basis_state(SpaceLayout([("M", 2)]), [0]))
+    st = tensor_product(
+        build_branch_state("S", (1 / np.sqrt(2), 1 / np.sqrt(2))),
+        basis_state(SpaceLayout([("M", 2)]), [0]))
 
     before = conditional_probability(st, "M", "S")
     ok = np.max(np.abs(before.conditional

@@ -23,7 +23,6 @@ from envlab.info_measures import (
     redundancy_report,
 )
 from envlab.measurement_models import (
-    BranchSpec,
     branch_records,
     record_states,
 )
@@ -41,10 +40,9 @@ TOL = 1e-10
 
 
 def both_paths(amps, n_env, overlap):
-    spec = BranchSpec("S", len(amps), amps, overlap)
     envs = [f"E{i + 1}" for i in range(n_env)]
-    return (branch_records(spec, "A", envs),
-            build_branch_state(spec, "A", envs), envs)
+    return (branch_records("S", amps, "A", envs, overlap),
+            build_branch_state("S", amps, "A", envs, overlap), envs)
 
 
 def dense_spectrum(state, labels):
@@ -131,19 +129,19 @@ def test_oracle_builds_without_the_branch_path(monkeypatch):
     """The gate chain stays a second computation: with the branch path
     refused, it builds every state of the grid, and they equal the
     library's dense view."""
-    grid = [(BranchSpec("S", d, AMPLITUDES[d][kind], overlap),
-             [f"E{i + 1}" for i in range(n_env)])
+    grid = [("S", AMPLITUDES[d][kind], "A",
+             [f"E{i + 1}" for i in range(n_env)], overlap)
             for d, n_env in SIZES for kind in AMPLITUDES[d]
             for overlap in OVERLAPS]
-    want = [branch_records(spec, "A", envs).dense() for spec, envs in grid]
+    want = [branch_records(*args).dense() for args in grid]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle used the branch path")
 
     monkeypatch.setattr(measurement_models, "branch_records", refuse)
     monkeypatch.setattr(BranchState, "dense", refuse)
-    for (spec, envs), dense in zip(grid, want):
-        got = build_branch_state(spec, "A", envs)
+    for args, dense in zip(grid, want):
+        got = build_branch_state(*args)
         assert got.layout == dense.layout
         np.testing.assert_allclose(got.amplitudes, dense.amplitudes,
                                    rtol=0, atol=1e-15)
@@ -186,9 +184,9 @@ def test_kernel_edge_cases():
 
 def test_guard_names_the_nominal_dimension(monkeypatch):
     monkeypatch.setenv("ENVLAB_DIM_GUARD", "64")
-    spec = BranchSpec("S", 2, unit([1, 1]), 0.3)
     with pytest.raises(errors.SpaceTooLarge, match="total dimension 1024 "):
-        branch_records(spec, "A", [f"E{i}" for i in range(8)])
+        branch_records("S", unit([1, 1]), "A", [f"E{i}" for i in range(8)],
+                       0.3)
 
 
 @pytest.mark.parametrize("amps, grams, error", [
@@ -245,8 +243,7 @@ def test_basis_conditioned_needs_the_pointer_label_in_the_system():
 
 
 def test_grams_are_derived_from_the_kets():
-    branch = branch_records(BranchSpec("S", 3, unit([1, 2, 3]), 0.3), "A",
-                            ["E1", "E2"])
+    branch = branch_records("S", unit([1, 2, 3]), "A", ["E1", "E2"], 0.3)
     recs = record_states(3, 3, 0.3)
     env_gram = recs @ recs.T
     np.fill_diagonal(env_gram, 1.0)
@@ -268,8 +265,7 @@ def test_grams_are_derived_from_the_kets():
 
 def test_a_table_passed_for_several_labels_is_copied_once():
     recs = record_states(2, 2, 0.3)
-    state = branch_records(BranchSpec("S", 2, unit([3, 4]), 0.3), "A",
-                           ["E1", "E2", "E3"])
+    state = branch_records("S", unit([3, 4]), "A", ["E1", "E2", "E3"], 0.3)
     assert state.kets[0] is state.kets[1]
     assert state.kets[2] is state.kets[3] is state.kets[4]
     assert not state.kets[2].flags.writeable
@@ -369,8 +365,7 @@ def test_conditioned_results_keep_the_traced_classes_apart():
 def test_a_basis_is_checked_after_a_kept_result(basis, message):
     """A kept basis-conditioned average is looked up before its basis is
     checked; a bad basis of the kept one's size still raises."""
-    state = branch_records(BranchSpec("S", 2, (0.6, 0.8), 0.3), "A",
-                           ["E1", "E2"])
+    state = branch_records("S", (0.6, 0.8), "A", ["E1", "E2"], 0.3)
     split = FragmentSpec("S", "E1")
     basis_conditioned_mutual_information(state, split, np.eye(2))
     with pytest.raises(errors.BadBasis, match=message):
@@ -430,7 +425,7 @@ def test_redundancy_at_a_thousand_environments(monkeypatch):
     monkeypatch.setenv("ENVLAB_DIM_GUARD", str(10 ** 400))
     n, (p0, p1) = 1000, (0.36, 0.64)
     envs = [f"E{i + 1}" for i in range(n)]
-    state = branch_records(BranchSpec("S", 2, (0.6, 0.8), 0.3), "A", envs)
+    state = branch_records("S", (0.6, 0.8), "A", envs, 0.3)
     report = redundancy_report(state, "S", envs)
     h1 = records_entropy(p0, p1, 0.3, 1)
     ratio = n * h1 / -(p0 * np.log2(p0) + p1 * np.log2(p1))

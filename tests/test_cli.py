@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import pathlib
+import re
 import sys
 import time
 
@@ -16,7 +17,7 @@ from envlab.info_measures import (
     FragmentSpec,
     basis_conditioned_mutual_information,
 )
-from envlab.measurement_models import BranchSpec, cascade_environment
+from envlab.measurement_models import cascade_environment
 from oracles import build_branch_state
 
 
@@ -222,6 +223,25 @@ class TestBorn:
         assert [r[:2] for r in parse_tables(out)["bounds"]["rows"]] == [
             ["3", str(k)] for k in range(4)]
 
+    def test_default_bounds_reach_the_outcome_count(self, capsys):
+        # 150 incommensurate outcomes: the default M = 100 is too small
+        amps = np.random.default_rng(150).uniform(0.1, 1.0, size=150)
+        code, out, err = run_cli(capsys, "born", "--amplitudes",
+                                 ",".join(map(str, amps.tolist())))
+        assert (code, err) == (0, "")
+        tables = parse_tables(out)
+        assert "born" not in tables
+        assert [r[0] for r in tables["bounds"]["rows"]] == \
+            ["1000"] * 150 + ["10000"] * 150
+
+    def test_no_default_bounds_past_the_largest(self, capsys):
+        amps = np.random.default_rng(10001).uniform(0.1, 1.0, size=10001)
+        code, out, err = run_cli(capsys, "born", "--amplitudes",
+                                 ",".join(map(str, amps.tolist())))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["fields"] == {"bounds_m": (
+            "no default bounding denominator reaches the 10001 outcomes")}
+
 
 class TestEnvariance:
     def test_verdict_rows(self, capsys):
@@ -267,8 +287,7 @@ class TestCascade:
         # the dense state: E_i's records c-shifted onto ready F_i
         immediate = [f"E{i + 1}" for i in range(n_env)]
         distant = [f"F{i + 1}" for i in range(n_env)]
-        state = build_branch_state(
-            BranchSpec("S", d, cfg.unit_amplitudes()), None, immediate)
+        state = build_branch_state("S", cfg.unit_amplitudes(), None, immediate)
         for label in distant:
             state = tensor_core.attach_ready(state, label, d)
         state = cascade_environment(state, immediate, distant)
@@ -302,6 +321,18 @@ class TestCascade:
             assert json.loads(err) == {
                 "error": "dimension_guard",
                 "detail": f"total dimension {dim} exceeds guard {2 ** 20}"}
+
+
+# malformed command lines: (argv, field, pattern of its message); later
+# Pythons word the list of choices differently
+MALFORMED = [
+    (("born", "--amplitudes", "-0.5,0.8"), "amplitudes",
+     "expected one argument"),
+    (("born", "--amplitudes", "1,1", "--bogus", "3"), "arguments",
+     "unrecognized arguments: --bogus 3"),
+    ((), "kind", "required"),
+    (("nosuch", "--amplitudes", "1,1"), "kind", "invalid choice: 'nosuch'.*"),
+]
 
 
 class TestPlumbing:
@@ -455,12 +486,7 @@ class TestPlumbing:
         rows = parse_tables(out)["bounds"]["rows"]
         assert [r[2:4] for r in rows] == [["0.36", "0.36"], ["0.64", "0.64"]]
 
-    @pytest.mark.parametrize("argv, field", [
-        (("born", "--amplitudes", "-0.5,0.8"), "amplitudes"),
-        (("born", "--amplitudes", "1,1", "--bogus", "3"), "arguments"),
-        ((), "kind"),
-        (("nosuch", "--amplitudes", "1,1"), "kind"),
-    ])
+    @pytest.mark.parametrize("argv, field", [m[:2] for m in MALFORMED])
     def test_malformed_command_line(self, capsys, argv, field):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -468,6 +494,12 @@ class TestPlumbing:
         doc = json.loads(err)
         assert doc["error"] == "validation"
         assert list(doc["fields"]) == [field]
+
+    @pytest.mark.parametrize("argv, field, message", MALFORMED)
+    def test_command_line_messages(self, capsys, argv, field, message):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert re.fullmatch(message, json.loads(err)["fields"][field])
 
     @pytest.mark.parametrize("argv", [("-h",), ("born", "-h")])
     def test_help_exits_zero(self, capsys, argv):

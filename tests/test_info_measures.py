@@ -11,7 +11,6 @@ from envlab.info_measures import (
     von_neumann_entropy,
 )
 from envlab.measurement_models import (
-    BranchSpec,
     branch_records,
     build_branch_state,
 )
@@ -29,10 +28,8 @@ from oracles import entropy_oracle, mutual_information_oracle, single_state
 
 
 def chain_state(amplitudes, n_env, overlap=0.0):
-    d = len(amplitudes)
-    spec = BranchSpec("S", d, tuple(amplitudes), overlap)
-    return build_branch_state(spec, apparatus="A",
-                              environments=[f"E{i}" for i in range(n_env)])
+    return build_branch_state("S", amplitudes, "A",
+                              [f"E{i}" for i in range(n_env)], overlap)
 
 
 def random_state(rng, dims, labels=None):
@@ -184,7 +181,7 @@ class TestTraceDistance:
     @pytest.mark.parametrize("other", [["S", "A"], "A"])
     def test_operators_on_different_layouts_are_rejected(self, other):
         # ["S", "A"] has another shape; "A" has S's shape on another label
-        psi = branch_records(BranchSpec("S", 2, [0.6, 0.8], 0.3), "A",
-                             ["E1", "E2"]).dense()
+        psi = branch_records("S", [0.6, 0.8], "A", ["E1", "E2"],
+                             0.3).dense()
         with pytest.raises(errors.LayoutMismatch):
             trace_distance(partial_trace(psi, "S"), partial_trace(psi, other))

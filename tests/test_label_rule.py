@@ -22,7 +22,6 @@ from envlab.info_measures import (
     redundancy_report,
 )
 from envlab.measurement_models import (
-    BranchSpec,
     branch_records,
     broadcast_environment,
     build_branch_state,
@@ -46,9 +45,13 @@ from envlab.tensor_core import (
 
 from oracles import single_state
 
-SPEC = BranchSpec("Sys", 2, [0.6, 0.8], 0.3)
-DENSE = build_branch_state(SPEC, "App", ["E1", "E2"])
-BRANCH = branch_records(SPEC, "App", ["E1", "E2"])
+
+def branch(environments, build=branch_records):
+    return build("Sys", [0.6, 0.8], "App", environments, 0.3)
+
+
+DENSE = branch(["E1", "E2"], build_branch_state)
+BRANCH = branch(["E1", "E2"])
 # Schmidt spectrum (2/3, 1/3) across (Sys, E1), room for M = 3 records
 COUNTED = PureState(SpaceLayout([("Sys", 3), ("E1", 2)]),
                     np.sqrt([2 / 3, 0, 0, 1 / 3, 0, 0]))
@@ -106,16 +109,16 @@ CASES = {
     "branch_outcomes": lambda w: branch_outcomes(
         BRANCH, w("Sys"), w("E1"), FOURIER),
     "branch_records": lambda w: (lambda b: (b.layout.subsystems, b.kets))(
-        branch_records(SPEC, "App", w("E1"))),
+        branch(w("E1"))),
     "build_branch_state": lambda w: (lambda s: (
         s.layout.subsystems, s.amplitudes))(
-        build_branch_state(SPEC, "App", w("E1"))),
+        branch(w("E1"), build_branch_state)),
     "broadcast_environment": lambda w: broadcast_environment(
         attach_ready(single_state("Sys", [0.6, 0.8]), "E1", 2), "Sys",
         w("E1"), 0.3).amplitudes,
     "cascade_environment": lambda w: cascade_environment(
-        attach_ready(build_branch_state(BranchSpec("Sys", 2, [0.6, 0.8]),
-                                        None, ["E1"]), "F1", 2),
+        attach_ready(build_branch_state("Sys", [0.6, 0.8], None, ["E1"]),
+                     "F1", 2),
         w("E1"), w("F1")).amplitudes,
 }
 
@@ -135,8 +138,7 @@ def test_bare_label_is_one_label(name):
 
 
 def test_bare_environment_is_one_subsystem():
-    assert branch_records(SPEC, "App", "E1").layout.labels == (
-        "Sys", "App", "E1")
+    assert branch("E1").layout.labels == ("Sys", "App", "E1")
     assert DENSE.layout.split("E1")[1] == ("Sys", "App", "E2")
 
 
@@ -155,7 +157,7 @@ def test_index_of_unknown_label():
 def fresh_branch():
     """``BRANCH`` without the results earlier tests made it keep: a kept
     result is looked up without resolving any label set."""
-    return branch_records(SPEC, "App", ["E1", "E2"])
+    return branch(["E1", "E2"])
 
 
 @pytest.mark.parametrize("call, label_sets", [

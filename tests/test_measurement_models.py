@@ -9,7 +9,7 @@ from envlab.info_measures import (
     redundancy_report,
 )
 from envlab.measurement_models import (
-    BranchSpec,
+    branch_records,
     broadcast_environment,
     build_branch_state,
     cascade_environment,
@@ -115,43 +115,37 @@ class TestRecordStates:
 
 class TestBroadcast:
     def test_no_environments_identity(self):
-        spec = BranchSpec("S", 2, (0.6, 0.8))
-        st = build_branch_state(spec, apparatus="A")
+        st = build_branch_state("S", (0.6, 0.8), "A")
         out = broadcast_environment(st, "A", [])
         np.testing.assert_allclose(out.amplitudes, st.amplitudes)
 
     def test_eight_perfect_records(self):
-        spec = BranchSpec("S", 2, (1 / np.sqrt(2), 1 / np.sqrt(2)))
-        st = build_branch_state(spec, apparatus="A",
-                                environments=[f"E{i}" for i in range(8)])
+        st = build_branch_state("S", (1 / np.sqrt(2), 1 / np.sqrt(2)), "A",
+                                [f"E{i}" for i in range(8)])
         rep = redundancy_report(st, ["S"], [[f"E{i}"] for i in range(8)])
         assert abs(rep.ratio - 8.0) < 1e-9
 
     def test_partial_overlap_intermediate_information(self):
-        spec = BranchSpec("S", 2, (1 / np.sqrt(2), 1 / np.sqrt(2)),
-                          record_overlap=np.cos(np.pi / 4))
-        st = build_branch_state(spec, apparatus="A", environments=["E0"])
+        st = build_branch_state("S", (1 / np.sqrt(2), 1 / np.sqrt(2)), "A",
+                                ["E0"], np.cos(np.pi / 4))
         mi = mutual_information(st, FragmentSpec(["S"], ["E0"]))
         assert 1e-3 < mi < 1.0 - 1e-3
 
     def test_overlap_one_no_information(self):
-        spec = BranchSpec("S", 2, (0.6, 0.8), record_overlap=1.0)
-        st = build_branch_state(spec, apparatus="A", environments=["E0"])
+        st = build_branch_state("S", (0.6, 0.8), "A", ["E0"], 1.0)
         mi = mutual_information(st, FragmentSpec(["S"], ["E0"]))
         assert mi < 1e-10
 
     def test_unitarity(self):
-        spec = BranchSpec("S", 3, (0.5, 0.5, 1 / np.sqrt(2)),
-                          record_overlap=0.4)
-        st = build_branch_state(spec, apparatus="A",
-                                environments=["E0", "E1"])
+        st = build_branch_state("S", (0.5, 0.5, 1 / np.sqrt(2)), "A",
+                                ["E0", "E1"], 0.4)
         assert abs(np.linalg.norm(st.amplitudes) - 1) < 1e-12
 
 
 class TestCascade:
     def _seed(self, n):
-        spec = BranchSpec("S", 2, (1 / np.sqrt(2), 1 / np.sqrt(2)))
-        st = build_branch_state(spec, environments=[f"E{i}" for i in range(n)])
+        st = build_branch_state("S", (1 / np.sqrt(2), 1 / np.sqrt(2)),
+                                environments=[f"E{i}" for i in range(n)])
         for i in range(n):
             st = tensor_product(st, ready(f"F{i}"))
         return st
@@ -188,8 +182,7 @@ class TestCascade:
 
 class TestObserver:
     def test_record_then_conditionals_identity(self):
-        spec = BranchSpec("S", 2, (0.6, 0.8))
-        st = build_branch_state(spec)
+        st = build_branch_state("S", (0.6, 0.8))
         st = tensor_product(st, ready("M"))
         st = observer_record(st, "S", "M")
         table = conditional_probability(st, "M", "S")
@@ -198,8 +191,8 @@ class TestObserver:
         assert table.defined.all()
 
     def test_unused_memory_rows_fall_back_to_prior(self):
-        spec = BranchSpec("S", 2, (0.6, 0.8))
-        st = tensor_product(build_branch_state(spec), ready("M", 3))
+        st = tensor_product(build_branch_state("S", (0.6, 0.8)),
+                            ready("M", 3))
         st = observer_record(st, "S", "M")
         table = conditional_probability(st, "M", "S")
         assert not table.defined[2]
@@ -213,8 +206,9 @@ class TestObserver:
             observer_record(st, "S", "M")
 
     def test_equal_branches_half_half(self):
-        spec = BranchSpec("S", 2, (1 / np.sqrt(2), 1 / np.sqrt(2)))
-        st = tensor_product(build_branch_state(spec), ready("M"))
+        st = tensor_product(
+            build_branch_state("S", (1 / np.sqrt(2), 1 / np.sqrt(2))),
+            ready("M"))
         table = conditional_probability(st, "M", "S")
         # memory never interacted: every defined row repeats the prior
         np.testing.assert_allclose(table.conditional[0], [0.5, 0.5],
@@ -296,11 +290,11 @@ class TestReadiness:
         broadcast_environment(st, "S", ["A"], overlap=0.3)
 
 
-class TestBranchSpec:
+class TestBranchRecords:
     def test_validation(self):
         with pytest.raises(errors.NotNormalized):
-            BranchSpec("S", 2, (1.0, 1.0))
+            branch_records("S", (1.0, 1.0))
         with pytest.raises(errors.DimensionMismatch):
-            BranchSpec("S", 1, (1.0,))
+            branch_records("S", (1.0,))
         with pytest.raises(errors.BadOverlap):
-            BranchSpec("S", 2, (0.6, 0.8), record_overlap=-0.1)
+            branch_records("S", (0.6, 0.8), overlap=-0.1)
