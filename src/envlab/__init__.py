@@ -23,7 +23,6 @@ from .tensor_core import (
     tensor_product,
 )
 from .info_measures import (
-    FragmentSpec,
     RedundancyReport,
     basis_conditioned_mutual_information,
     mutual_information,
@@ -39,7 +38,6 @@ from .measurement_models import (
 )
 from .envariance import (
     EnvarianceVerdict,
-    FineGrainingPlan,
     ProbabilityBound,
     born_probabilities,
     envariant_swap,

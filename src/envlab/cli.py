@@ -30,7 +30,6 @@ from .envariance import (
     schmidt_swap_unitary,
 )
 from .info_measures import (
-    FragmentSpec,
     basis_conditioned_mutual_information,
     redundancy_report,
 )
@@ -240,11 +239,10 @@ def _run_cascade(cfg: ScenarioConfig) -> tuple[dict, dict]:
     )
     rows = []
     for i, lab in enumerate(distant):
-        split = FragmentSpec("S", lab)
         mi_ptr = basis_conditioned_mutual_information(
-            state, split, pointer_basis)
+            state, "S", lab, pointer_basis)
         mi_conj = basis_conditioned_mutual_information(
-            state, split, conjugate_basis)
+            state, "S", lab, conjugate_basis)
         rows.append([i, mi_ptr, mi_conj])
     residuals = {"max_conjugate_mi": max((r[2] for r in rows), default=0.0)}
     return {"cascade": rows}, residuals

@@ -25,7 +25,6 @@ from .tensor_core import (
     PureState,
     SchmidtDecomposition,
     SubsystemUnitary,
-    _label_tuple,
     _leading_index,
     apply_unitary,
     attach_ready,
@@ -37,7 +36,7 @@ from .tensor_core import (
 
 DEFAULT_M_CAP = 10 ** 4
 COUNT_TOL = 1e-10        # default counting tolerance |p_k - m_k / M|
-ROUND_SLACK = 1e-9       # fine-graining plans and rational-bound rounding
+ROUND_SLACK = 1e-9       # fine-graining counts and rational-bound rounding
 _SCAN_BLOCK = 1024       # denominator candidates tested per numpy pass
 
 
@@ -56,32 +55,6 @@ class EnvarianceVerdict:
     residual: float
     witness_trace_distance: float
     reason: str
-
-
-@dataclass(frozen=True)
-class FineGrainingPlan:
-    """Counts m_k (Schmidt-descending order) with total M = sum m_k, plus
-    the label of the dimension-M ancilla to attach.  ``system_labels``
-    fixes the bipartition the counts refer to."""
-
-    counts: tuple[int, ...]
-    system_labels: tuple[str, ...]
-    ancilla_label: str
-    tolerance: float = ROUND_SLACK
-
-    def __init__(self, counts, system_labels, ancilla_label,
-                 tolerance=ROUND_SLACK):
-        counts = tuple(int(c) for c in counts)
-        if any(c < 1 for c in counts):
-            raise PlanMismatch("all fine-graining counts must be >= 1")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "system_labels", _label_tuple(system_labels))
-        object.__setattr__(self, "ancilla_label", str(ancilla_label))
-        object.__setattr__(self, "tolerance", float(tolerance))
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,8 +189,10 @@ def _equal_weights(coeffs: np.ndarray) -> np.ndarray:
 
 def _check_counts(counts, probs: np.ndarray, tolerance: float,
                   env_dim: int) -> None:
-    """Counts fit the spectrum within tolerance and the environment has
-    room for their total M of record states."""
+    """Counts are at least 1, fit the spectrum within tolerance, and the
+    environment has room for their total M of record states."""
+    if any(c < 1 for c in counts):
+        raise PlanMismatch("all fine-graining counts must be >= 1")
     m = sum(counts)
     if len(counts) != probs.size:
         raise PlanMismatch(
@@ -233,35 +208,39 @@ def _check_counts(counts, probs: np.ndarray, tolerance: float,
                            f"for M = {m} record states")
 
 
-def fine_grain(state: PureState, plan: FineGrainingPlan) -> PureState:
-    """c-shift fine-graining into M equal-amplitude triple-product terms.
+def fine_grain(state: PureState, counts, system, ancilla: str,
+               tolerance: float = ROUND_SLACK) -> PureState:
+    """c-shift fine-graining into M = sum m_k equal-amplitude
+    triple-product terms; the counts m_k are in Schmidt-descending order
+    across the ``system`` bipartition.
 
     The environment factor is rotated so each Schmidt partner becomes the
     uniform superposition over a consecutive m_k-sized block of basis
-    states (the Fourier-Hadamard frame), a fresh ancilla is attached in
-    its ready state, and a c-shift copies the block index onto it.  Both
-    steps act only on the environment side, so the reduced operator on
-    the system is untouched.
+    states (the Fourier-Hadamard frame), a fresh dimension-M ``ancilla``
+    is attached in its ready state, and a c-shift copies the block index
+    onto it.  Both steps act only on the environment side, so the reduced
+    operator on the system is untouched.
     """
-    sys_labels, env_labels = state.layout.split(plan.system_labels)
-    if plan.ancilla_label in state.layout.labels:
-        raise PlanMismatch(f"ancilla label {plan.ancilla_label!r} already used")
+    sys_labels, env_labels = state.layout.split(system)
+    if ancilla in state.layout.labels:
+        raise PlanMismatch(f"ancilla label {ancilla!r} already used")
     sd = schmidt_decompose(state, sys_labels)
     probs = sd.coefficients[: sd.rank] ** 2
     de = state.layout.subdim(env_labels)
-    _check_counts(plan.counts, probs, plan.tolerance, de)
+    counts = tuple(int(c) for c in counts)
+    _check_counts(counts, probs, tolerance, de)
     # block frame: Schmidt partner k -> uniform superposition over its block
     frame = np.zeros((de, probs.size), dtype=complex)
     offset = 0
-    for k, mk in enumerate(plan.counts):
+    for k, mk in enumerate(counts):
         frame[offset:offset + mk, k] = 1.0 / math.sqrt(mk)
         offset += mk
     eps = sd.right_basis[:, : sd.rank]
     w = frame @ eps.conj().T
     w += _complement_basis(frame, de) @ _complement_basis(eps, de).conj().T
     rotated = apply_unitary(state, SubsystemUnitary(env_labels, w))
-    joined = attach_ready(rotated, plan.ancilla_label, plan.total)
-    return controlled_shift(joined, env_labels, plan.ancilla_label)
+    joined = attach_ready(rotated, ancilla, sum(counts))
+    return controlled_shift(joined, env_labels, ancilla)
 
 
 def find_commensurate_denominator(probs, tolerance: float,

@@ -1,5 +1,5 @@
 """Entropies, mutual information, redundancy, and basis-conditioned
-(locally accessible) information over system/fragment splits.
+(locally accessible) information of a system and its fragments.
 
 All entropies are von Neumann, base-2 logarithm, in bits.  Eigenvalues
 at or below ``KERNEL_TOL`` are dropped when evaluating x*log2(x).
@@ -28,24 +28,6 @@ from .tensor_core import (
     _reduction,
     partial_trace,
 )
-
-
-@dataclass(frozen=True)
-class FragmentSpec:
-    """A (system labels, fragment labels) split; the two sets are disjoint."""
-
-    system_labels: tuple[str, ...]
-    fragment_labels: tuple[str, ...]
-
-    def __init__(self, system_labels, fragment_labels):
-        sys_ = _label_tuple(system_labels)
-        frag = _label_tuple(fragment_labels)
-        if set(sys_) & set(frag):
-            raise OverlappingSplit(
-                f"system {sys_} and fragment {frag} overlap"
-            )
-        object.__setattr__(self, "system_labels", sys_)
-        object.__setattr__(self, "fragment_labels", frag)
 
 
 @dataclass(frozen=True)
@@ -80,12 +62,25 @@ def _entropy(state: PureState | BranchState, labels) -> float:
     return von_neumann_entropy(partial_trace(state, labels))
 
 
-def mutual_information(state: PureState | BranchState,
-                       split: FragmentSpec) -> float:
+def _disjoint(system, fragments) -> tuple[tuple, list[tuple]]:
+    """``system`` and each fragment as label tuples; no label may appear
+    in two of them."""
+    system = _label_tuple(system)
+    frag_sets = [_label_tuple(f) for f in fragments]
+    claimed: set[str] = set(system)
+    for f in frag_sets:
+        if claimed & set(f):
+            raise OverlappingSplit(f"fragment {f} overlaps earlier labels")
+        claimed |= set(f)
+    return system, frag_sets
+
+
+def mutual_information(state: PureState | BranchState, system,
+                       fragment) -> float:
     """I(S:F) = H(S) + H(F) - H(S,F) in bits, clamped to >= 0."""
-    hs = _entropy(state, split.system_labels)
-    return _mutual_information(state, split.system_labels,
-                               split.fragment_labels, hs)
+    system, (fragment,) = _disjoint(system, [fragment])
+    return _mutual_information(state, system, fragment,
+                               _entropy(state, system))
 
 
 def _mutual_information(state: PureState | BranchState, system: tuple,
@@ -99,13 +94,7 @@ def _mutual_information(state: PureState | BranchState, system: tuple,
 def redundancy_report(state: PureState | BranchState, system,
                       fragments) -> RedundancyReport:
     """Summed fragment MI and the redundancy ratio I_total / H(S)."""
-    system = _label_tuple(system)
-    frag_sets = [_label_tuple(f) for f in fragments]
-    claimed: set[str] = set(system)
-    for f in frag_sets:
-        if claimed & set(f):
-            raise OverlappingSplit(f"fragment {f} overlaps earlier labels")
-        claimed |= set(f)
+    system, frag_sets = _disjoint(system, fragments)
     hs = _entropy(state, system)
     if hs <= KERNEL_TOL:
         raise UndefinedRatio("system entropy is zero; ratio undefined")
@@ -115,18 +104,18 @@ def redundancy_report(state: PureState | BranchState, system,
 
 
 def basis_conditioned_mutual_information(
-    state: PureState | BranchState, split: FragmentSpec, fragment_basis
+    state: PureState | BranchState, system, fragment, fragment_basis
 ) -> float:
     """H(S) minus the average post-measurement entropy of S.
 
-    The fragment, its labels in layout order, is projected onto each
-    basis vector; the conditional state of the system is the remainder
-    traced down to the system labels (for a ``BranchState``,
+    ``fragment``, its labels in layout order, is projected onto each
+    vector of ``fragment_basis``; the conditional state of ``system`` is
+    the remainder traced down to its labels (for a ``BranchState``,
     ``branch_outcomes``, so the system must hold the pointer label).
     Outcomes with probability below ``KERNEL_TOL`` are skipped.  A
     ``BranchState`` keeps the average it computes.
     """
-    system, fragment = split.system_labels, split.fragment_labels
+    system, (fragment,) = _disjoint(system, [fragment])
     hs = _entropy(state, system)
     if isinstance(state, BranchState):
         avg = _conditioned_entropy(state, system, fragment, fragment_basis)

@@ -33,7 +33,6 @@ import numpy as np
 
 from envlab import errors
 from envlab.envariance import (
-    FineGrainingPlan,
     _pointer_order,
     equal_amplitude_probabilities,
     fine_grain,
@@ -368,9 +367,8 @@ def dense_born_probabilities(state, system, tolerance=1e-10, m_cap=10 ** 4):
     sd = schmidt_decompose(state, sys_labels)
     probs = sd.coefficients[: sd.rank] ** 2
     m, counts = scalar_commensurate_denominator(probs, tolerance, m_cap)
-    plan = FineGrainingPlan(counts, sys_labels, "_anc",
-                            tolerance=tolerance + 0.5 / m)
-    fine = fine_grain(state, plan)
+    fine = fine_grain(state, counts, sys_labels, "_anc",
+                      tolerance=tolerance + 0.5 / m)
     try:
         per_term = equal_amplitude_probabilities(fine, state.layout.labels)
     except errors.NotEqualAmplitude as exc:

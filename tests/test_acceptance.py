@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from envlab.envariance import (
-    FineGrainingPlan,
     born_probabilities,
     equal_amplitude_probabilities,
     fine_grain,
@@ -20,7 +19,6 @@ from envlab.envariance import (
     schmidt_probabilities,
 )
 from envlab.info_measures import (
-    FragmentSpec,
     mutual_information,
     redundancy_report,
 )
@@ -94,7 +92,7 @@ def test_criterion_1_worked_born_example():
     probs = born_probabilities(state, ["S"])
     probs_ok = np.max(np.abs(probs - [2 / 3, 1 / 3])) < 1e-12
 
-    fine = fine_grain(state, FineGrainingPlan((2, 1), ["S"], "C"))
+    fine = fine_grain(state, (2, 1), ["S"], "C")
     want = np.zeros((3, 3, 3), dtype=complex)
     want[0, 0, 0] = want[0, 1, 1] = want[2, 2, 2] = 1 / np.sqrt(3)
     expected = PureState(fine.layout, want.ravel())
@@ -246,8 +244,7 @@ def test_criterion_10_oracle_equivalence():
         want = partial_trace_oracle(st.amplitudes, dims, keep)
         ok &= np.max(np.abs(got - want)) < 1e-12
         if n >= 2:
-            mi = mutual_information(
-                st, FragmentSpec([labels[0]], [labels[-1]]))
+            mi = mutual_information(st, [labels[0]], [labels[-1]])
             want_mi = mutual_information_oracle(st.amplitudes, dims,
                                                 [0], [n - 1])
             ok &= abs(mi - want_mi) < 1e-12
@@ -262,8 +259,7 @@ def test_criterion_10_oracle_equivalence():
         for k in range(n):
             amps[k, k] = np.sqrt(counts[k] / m)
         st = bipartite(amps)
-        fine = fine_grain(st, FineGrainingPlan(
-            tuple(sorted(counts, reverse=True)), ["S"], "C"))
+        fine = fine_grain(st, sorted(counts, reverse=True), ["S"], "C")
         n_terms, mags, mult = enumerate_equal_terms(fine.amplitudes, n)
         ok &= n_terms == m
         ok &= np.max(np.abs(np.asarray(mags) - 1 / m)) < 1e-12

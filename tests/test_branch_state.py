@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from envlab import errors, measurement_models
 from envlab.info_measures import (
-    FragmentSpec,
     _entropy,
     basis_conditioned_mutual_information,
     mutual_information,
@@ -70,9 +69,8 @@ def assert_paths_agree(amps, n_env, overlap):
         assert np.all(np.abs(want[k:]) <= TOL)
     for system, fragment in [(("S",), (envs[0],)), (("S",), few),
                              (("S", "A"), (envs[-1],)), (("A",), few)]:
-        split = FragmentSpec(system, fragment)
-        assert abs(mutual_information(branch, split)
-                   - mutual_information(dense, split)) <= TOL
+        assert abs(mutual_information(branch, system, fragment)
+                   - mutual_information(dense, system, fragment)) <= TOL
     got = redundancy_report(branch, ("S",), [(e,) for e in envs])
     want = redundancy_report(dense, ("S",), [(e,) for e in envs])
     np.testing.assert_allclose(got.per_fragment_mi, want.per_fragment_mi,
@@ -85,11 +83,11 @@ def assert_paths_agree(amps, n_env, overlap):
                - np.max(np.abs(rho - np.diag(np.diag(rho))))) <= TOL
     pair = tuple(envs[:2]) if len(envs) > 1 else ("A", envs[0])
     for fragment in [(envs[0],), pair]:
-        split = FragmentSpec(("S",), fragment)
-        mi = mutual_information(branch, split)
+        split = ("S",), fragment
+        mi = mutual_information(branch, *split)
         for basis in fragment_bases(len(amps) ** len(fragment)):
-            got = basis_conditioned_mutual_information(branch, split, basis)
-            want = basis_conditioned_mutual_information(dense, split, basis)
+            got = basis_conditioned_mutual_information(branch, *split, basis)
+            want = basis_conditioned_mutual_information(dense, *split, basis)
             assert abs(got - want) <= TOL
             assert 0.0 <= got <= mi + TOL
 
@@ -164,7 +162,7 @@ def test_branch_path_properties(inputs):
     assert_paths_agree(amps, n_env, overlap)
     branch, _, envs = both_paths(amps, n_env, overlap)
     for fragment in [(envs[0],), tuple(envs), ("A",) + tuple(envs)]:
-        mi = mutual_information(branch, FragmentSpec(("S",), fragment))
+        mi = mutual_information(branch, ("S",), fragment)
         bound = 2 * min(_entropy(branch, ("S",)), _entropy(branch, fragment))
         assert 0.0 <= mi <= bound + TOL
 
@@ -224,13 +222,13 @@ def test_general_kets_match_the_dense_state():
         got = reduced_spectrum(branch, labels)[::-1][:want.size]
         np.testing.assert_allclose(got, want[:got.size], rtol=0, atol=TOL)
     for fragment in [("E1",), ("E1", "E2"), ("E3", "E2")]:
-        split = FragmentSpec(("S",), fragment)
-        assert abs(mutual_information(branch, split)
-                   - mutual_information(dense, split)) <= TOL
+        split = ("S",), fragment
+        assert abs(mutual_information(branch, *split)
+                   - mutual_information(dense, *split)) <= TOL
         for basis in fragment_bases(layout.subdim(fragment)):
             assert abs(
-                basis_conditioned_mutual_information(branch, split, basis)
-                - basis_conditioned_mutual_information(dense, split, basis)
+                basis_conditioned_mutual_information(branch, *split, basis)
+                - basis_conditioned_mutual_information(dense, *split, basis)
             ) <= TOL
 
 
@@ -239,7 +237,7 @@ def test_basis_conditioned_needs_the_pointer_label_in_the_system():
     for system, fragment in [(("A",), (envs[0],)), ((envs[0],), ("S",))]:
         with pytest.raises(errors.InvalidBipartition):
             basis_conditioned_mutual_information(
-                branch, FragmentSpec(system, fragment), np.eye(2))
+                branch, system, fragment, np.eye(2))
 
 
 def test_grams_are_derived_from_the_kets():
@@ -319,16 +317,17 @@ def test_results_are_shared_only_within_a_record_class():
         for fragment in itertools.chain(
                 itertools.combinations(rest, 1),
                 itertools.combinations(rest, 2)):
-            split = FragmentSpec(system, fragment)
+            split = system, fragment
             for basis in fragment_bases(3 ** len(fragment)):
                 assert np.array_equal(
-                    basis_conditioned_mutual_information(state, split, basis),
-                    basis_conditioned_mutual_information(fresh(), split,
+                    basis_conditioned_mutual_information(state, *split,
+                                                         basis),
+                    basis_conditioned_mutual_information(fresh(), *split,
                                                          basis))
     # A shares the pointer's table, but is not the pointer label
     with pytest.raises(errors.InvalidBipartition):
         basis_conditioned_mutual_information(
-            state, FragmentSpec("A", "E1"), np.eye(3))
+            state, "A", "E1", np.eye(3))
 
 
 def test_conditioned_results_keep_the_traced_classes_apart():
@@ -347,11 +346,12 @@ def test_conditioned_results_keep_the_traced_classes_apart():
     for fragment in [("E3",), ("E4",), ("E3", "E4")]:
         values = []
         for system in [("S", "E1"), ("S", "E2")]:
-            split = FragmentSpec(system, fragment)
+            split = system, fragment
             for basis in fragment_bases(3 ** len(fragment)):
-                got = basis_conditioned_mutual_information(state, split, basis)
+                got = basis_conditioned_mutual_information(state, *split,
+                                                           basis)
                 assert np.array_equal(
-                    got, basis_conditioned_mutual_information(fresh(), split,
+                    got, basis_conditioned_mutual_information(fresh(), *split,
                                                               basis))
                 values.append(got)
         assert values[:3] != values[3:]
@@ -366,10 +366,10 @@ def test_a_basis_is_checked_after_a_kept_result(basis, message):
     """A kept basis-conditioned average is looked up before its basis is
     checked; a bad basis of the kept one's size still raises."""
     state = branch_records("S", (0.6, 0.8), "A", ["E1", "E2"], 0.3)
-    split = FragmentSpec("S", "E1")
-    basis_conditioned_mutual_information(state, split, np.eye(2))
+    split = "S", "E1"
+    basis_conditioned_mutual_information(state, *split, np.eye(2))
     with pytest.raises(errors.BadBasis, match=message):
-        basis_conditioned_mutual_information(state, split, basis)
+        basis_conditioned_mutual_information(state, *split, basis)
 
 
 def test_a_miss_resolves_its_labels_once(monkeypatch):
@@ -403,7 +403,7 @@ def test_a_miss_resolves_its_labels_once(monkeypatch):
     reduced_spectrum(fresh(), ["S", "E0"])
     assert calls == [("S", "E0")]
     calls.clear()
-    basis_conditioned_mutual_information(fresh(), FragmentSpec("S", "E0"),
+    basis_conditioned_mutual_information(fresh(), "S", "E0",
                                          np.eye(2))
     assert calls == [("S",), ("S", "E0")]
     assert splits == []

@@ -14,7 +14,6 @@ import pytest
 from envlab import cli, envariance, info_measures, tensor_core
 from envlab.cli import main
 from envlab.info_measures import (
-    FragmentSpec,
     basis_conditioned_mutual_information,
 )
 from envlab.measurement_models import cascade_environment
@@ -294,7 +293,7 @@ class TestCascade:
         r = np.arange(d)
         fourier = np.exp(2j * np.pi * np.outer(r, r) / d) / np.sqrt(d)
         want = [[i] + [basis_conditioned_mutual_information(
-                    state, FragmentSpec(("S",), (label,)), basis)
+                    state, ("S",), (label,), basis)
                     for basis in (np.eye(d), fourier)]
                 for i, label in enumerate(distant)]
         assert len(got) == n_env

@@ -6,7 +6,6 @@ from envlab import errors
 from envlab.envariance import (
     _SCAN_BLOCK,
     DEFAULT_M_CAP,
-    FineGrainingPlan,
     born_probabilities,
     bound_spectrum,
     count_spectrum,
@@ -300,16 +299,14 @@ class TestEqualAmplitudes:
 class TestFineGrain:
     def test_two_one_split(self):
         st = two_thirds_state()
-        plan = FineGrainingPlan((2, 1), ["S"], "C")
-        fine = fine_grain(st, plan)
+        fine = fine_grain(st, (2, 1), ["S"], "C")
         count, mags, mult = enumerate_equal_terms(fine.amplitudes, 3)
         assert count == 3
         assert np.max(np.abs(np.asarray(mags) - 1 / 3)) < 1e-10
         assert sorted(mult.values()) == [1, 2]
 
     def test_equal_counts_trivial(self):
-        plan = FineGrainingPlan((1, 1), ["S"], "C")
-        fine = fine_grain(bell(), plan)
+        fine = fine_grain(bell(), (1, 1), ["S"], "C")
         probs = equal_amplitude_probabilities(fine, ["S"])
         np.testing.assert_allclose(probs, [0.5, 0.5])
 
@@ -319,8 +316,7 @@ class TestFineGrain:
         for k in range(3):
             amps[k, k] = np.sqrt(m[k] / 8)
         st = bipartite(amps)
-        plan = FineGrainingPlan((4, 3, 1), ["S"], "C")
-        fine = fine_grain(st, plan)
+        fine = fine_grain(st, (4, 3, 1), ["S"], "C")
         count, mags, mult = enumerate_equal_terms(fine.amplitudes, 3)
         assert count == 8
         assert np.max(np.abs(np.asarray(mags) - 1 / 8)) < 1e-10
@@ -329,14 +325,21 @@ class TestFineGrain:
     def test_system_reduced_operator_untouched(self):
         st = two_thirds_state()
         before = partial_trace(st, ["S"]).matrix
-        fine = fine_grain(st, FineGrainingPlan((2, 1), ["S"], "C"))
+        fine = fine_grain(st, (2, 1), ["S"], "C")
         after = partial_trace(fine, ["S"]).matrix
         np.testing.assert_allclose(after, before, atol=1e-12)
 
     def test_plan_mismatch(self):
-        plan = FineGrainingPlan((1, 1, 1), ["S"], "C")
         with pytest.raises(errors.PlanMismatch):
-            fine_grain(bell(), plan)
+            fine_grain(bell(), (1, 1, 1), ["S"], "C")
+
+    def test_zero_count(self):
+        with pytest.raises(errors.PlanMismatch,
+                           match="all fine-graining counts must be >= 1"):
+            fine_grain(bell(), (2, 0), ["S"], "C")
+        # the labels are checked first
+        with pytest.raises(errors.UnknownLabel):
+            fine_grain(bell(), (2, 0), ["X"], "C")
 
 
 class TestCommensurate:

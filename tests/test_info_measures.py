@@ -3,7 +3,6 @@ import pytest
 
 from envlab import errors
 from envlab.info_measures import (
-    FragmentSpec,
     basis_conditioned_mutual_information,
     mutual_information,
     redundancy_report,
@@ -71,24 +70,24 @@ class TestMutualInformation:
     def test_product_state_zero(self):
         st = tensor_product(single_state("S", [0.6, 0.8]),
                             single_state("F", [1, 0]))
-        assert mutual_information(st, FragmentSpec(["S"], ["F"])) < 1e-12
+        assert mutual_information(st, ["S"], ["F"]) < 1e-12
 
     def test_perfect_record_one_bit(self):
         st = chain_state([1 / np.sqrt(2), 1 / np.sqrt(2)], 1)
-        mi = mutual_information(st, FragmentSpec(["S"], ["E0"]))
+        mi = mutual_information(st, ["S"], ["E0"])
         assert abs(mi - 1.0) < 1e-10
 
     def test_skewed_record(self):
         st = chain_state([np.sqrt(0.8), np.sqrt(0.2)], 1)
-        mi = mutual_information(st, FragmentSpec(["S"], ["E0"]))
+        mi = mutual_information(st, ["S"], ["E0"])
         assert abs(mi - 0.7219281) < 1e-6
 
     def test_against_oracle_and_bounds(self):
         rng = np.random.default_rng(22)
         for _ in range(15):
             st = random_state(rng, [2, 3, 2])
-            split = FragmentSpec(["Q0"], ["Q2"])
-            mi = mutual_information(st, split)
+            split = ["Q0"], ["Q2"]
+            mi = mutual_information(st, *split)
             want = mutual_information_oracle(st.amplitudes, [2, 3, 2],
                                              [0], [2])
             assert abs(mi - want) < 1e-10
@@ -99,13 +98,14 @@ class TestMutualInformation:
     def test_symmetry(self):
         rng = np.random.default_rng(23)
         st = random_state(rng, [2, 2, 3])
-        a = mutual_information(st, FragmentSpec(["Q0"], ["Q2"]))
-        b = mutual_information(st, FragmentSpec(["Q2"], ["Q0"]))
+        a = mutual_information(st, ["Q0"], ["Q2"])
+        b = mutual_information(st, ["Q2"], ["Q0"])
         assert abs(a - b) < 1e-12
 
     def test_overlapping_split(self):
+        st = chain_state([0.6, 0.8], 1)
         with pytest.raises(errors.OverlappingSplit):
-            FragmentSpec(["S"], ["S", "E"])
+            mutual_information(st, ["S"], ["S", "E0"])
 
 
 class TestRedundancy:
@@ -141,32 +141,57 @@ class TestBasisConditionedMI:
     def test_pointer_basis_full_bit(self):
         st = chain_state([1 / np.sqrt(2), 1 / np.sqrt(2)], 1)
         got = basis_conditioned_mutual_information(
-            st, FragmentSpec(["S"], ["E0"]), list(np.eye(2)))
+            st, ["S"], ["E0"], list(np.eye(2)))
         assert abs(got - 1.0) < 1e-10
 
     def test_conjugate_basis_nothing(self):
         st = chain_state([1 / np.sqrt(2), 1 / np.sqrt(2)], 1)
         had = [np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2)]
         got = basis_conditioned_mutual_information(
-            st, FragmentSpec(["S"], ["E0"]), had)
+            st, ["S"], ["E0"], had)
         assert got < 1e-10
 
     def test_product_state_zero(self):
         st = tensor_product(single_state("S", [0.6, 0.8]),
                             single_state("F", [0.8, 0.6]))
         got = basis_conditioned_mutual_information(
-            st, FragmentSpec(["S"], ["F"]), list(np.eye(2)))
+            st, ["S"], ["F"], list(np.eye(2)))
         assert got < 1e-12
 
     def test_never_exceeds_quantum_mi(self):
         rng = np.random.default_rng(24)
         for _ in range(10):
             st = random_state(rng, [2, 2, 2])
-            split = FragmentSpec(["Q0"], ["Q2"])
+            split = ["Q0"], ["Q2"]
             g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             basis = list(np.linalg.qr(g)[0].T)
-            bc = basis_conditioned_mutual_information(st, split, basis)
-            assert bc <= mutual_information(st, split) + 1e-10
+            bc = basis_conditioned_mutual_information(st, *split, basis)
+            assert bc <= mutual_information(st, *split) + 1e-10
+
+
+# each measure given the fragment (E0, E1) after labels it overlaps: the
+# system in the first three, an earlier fragment in the last
+OVERLAPS = {
+    "mutual_information": lambda st: mutual_information(
+        st, ["S", "E1"], ["E0", "E1"]),
+    "basis_conditioned": lambda st: basis_conditioned_mutual_information(
+        st, ["S", "E1"], ["E0", "E1"], np.eye(4)),
+    "redundancy_report": lambda st: redundancy_report(
+        st, ["S", "E1"], [["E0", "E1"]]),
+    "redundancy_report earlier fragment": lambda st: redundancy_report(
+        st, ["S"], [["E1"], ["E0", "E1"]]),
+}
+
+
+@pytest.mark.parametrize("build", [build_branch_state, branch_records],
+                         ids=["dense", "branch"])
+@pytest.mark.parametrize("name", list(OVERLAPS))
+def test_one_overlap_rule(name, build):
+    st = build("S", [0.6, 0.8], "A", ["E0", "E1"], 0.3)
+    with pytest.raises(errors.OverlappingSplit,
+                       match=r"^fragment \('E0', 'E1'\) overlaps earlier "
+                             r"labels$"):
+        OVERLAPS[name](st)
 
 
 class TestTraceDistance:

@@ -8,7 +8,6 @@ import pytest
 
 from envlab import errors
 from envlab.envariance import (
-    FineGrainingPlan,
     born_probabilities,
     fine_grain,
     is_envariant,
@@ -16,7 +15,6 @@ from envlab.envariance import (
     schmidt_probabilities,
 )
 from envlab.info_measures import (
-    FragmentSpec,
     basis_conditioned_mutual_information,
     mutual_information,
     redundancy_report,
@@ -90,18 +88,16 @@ CASES = {
     "schmidt_probabilities": lambda w: schmidt_probabilities(COUNTED, w("E1")),
     "rational_bounds": lambda w: (lambda b: (b.lower, b.upper))(
         rational_bounds(COUNTED, w("E1"), 10)),
-    "FineGrainingPlan": lambda w: fine_grain(
-        COUNTED, FineGrainingPlan((2, 1), w("E1"), "Anc")).amplitudes,
-    "FragmentSpec": lambda w: (lambda s: (s.system_labels, s.fragment_labels))(
-        FragmentSpec(w("Sys"), w("E1"))),
+    "fine_grain": lambda w: fine_grain(
+        COUNTED, (2, 1), w("E1"), "Anc").amplitudes,
     "mutual_information dense": lambda w: mutual_information(
-        DENSE, FragmentSpec(w("Sys"), w("E1"))),
+        DENSE, w("Sys"), w("E1")),
     "mutual_information branch": lambda w: mutual_information(
-        BRANCH, FragmentSpec(w("Sys"), w("E1"))),
+        BRANCH, w("Sys"), w("E1")),
     "basis_conditioned dense": lambda w: basis_conditioned_mutual_information(
-        DENSE, FragmentSpec(w("Sys"), w("E1")), FOURIER),
+        DENSE, w("Sys"), w("E1"), FOURIER),
     "basis_conditioned branch": lambda w: basis_conditioned_mutual_information(
-        BRANCH, FragmentSpec(w("Sys"), w("E1")), FOURIER),
+        BRANCH, w("Sys"), w("E1"), FOURIER),
     "redundancy_report": lambda w: _report(redundancy_report(
         BRANCH, w("Sys"), [w("E1"), w("E2")])),
     "branch_density": lambda w: branch_density(BRANCH, w("Sys")),
@@ -181,7 +177,7 @@ def fresh_branch():
                  id="relative_states"),
     # H(S), then the fragment in layout order
     pytest.param(lambda: basis_conditioned_mutual_information(
-        DENSE, FragmentSpec("Sys", ["E2", "E1"]), np.eye(4)), 2,
+        DENSE, "Sys", ["E2", "E1"], np.eye(4)), 2,
         id="basis_conditioned_dense"),
 ])
 def test_branch_kernels_resolve_each_label_set_once(monkeypatch, call,

@@ -3,7 +3,6 @@ import pytest
 
 from envlab import errors
 from envlab.info_measures import (
-    FragmentSpec,
     basis_conditioned_mutual_information,
     mutual_information,
     redundancy_report,
@@ -128,12 +127,12 @@ class TestBroadcast:
     def test_partial_overlap_intermediate_information(self):
         st = build_branch_state("S", (1 / np.sqrt(2), 1 / np.sqrt(2)), "A",
                                 ["E0"], np.cos(np.pi / 4))
-        mi = mutual_information(st, FragmentSpec(["S"], ["E0"]))
+        mi = mutual_information(st, ["S"], ["E0"])
         assert 1e-3 < mi < 1.0 - 1e-3
 
     def test_overlap_one_no_information(self):
         st = build_branch_state("S", (0.6, 0.8), "A", ["E0"], 1.0)
-        mi = mutual_information(st, FragmentSpec(["S"], ["E0"]))
+        mi = mutual_information(st, ["S"], ["E0"])
         assert mi < 1e-10
 
     def test_unitarity(self):
@@ -155,7 +154,7 @@ class TestCascade:
                                  [f"F{i}" for i in range(3)])
         for i in range(3):
             mi = basis_conditioned_mutual_information(
-                st, FragmentSpec(["S"], [f"F{i}"]), list(np.eye(2)))
+                st, ["S"], [f"F{i}"], list(np.eye(2)))
             assert abs(mi - 1.0) < 1e-10
 
     def test_conjugate_basis_learns_nothing(self):
@@ -164,7 +163,7 @@ class TestCascade:
         had = [np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2)]
         for i in range(3):
             mi = basis_conditioned_mutual_information(
-                st, FragmentSpec(["S"], [f"F{i}"]), had)
+                st, ["S"], [f"F{i}"], had)
             assert mi < 1e-10
 
     def test_system_state_untouched(self):
