@@ -38,7 +38,6 @@ from .measurement_models import (
 )
 from .envariance import (
     EnvarianceVerdict,
-    ProbabilityBound,
     born_probabilities,
     envariant_swap,
     equal_amplitude_probabilities,

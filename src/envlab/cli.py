@@ -163,13 +163,17 @@ def _run_redundancy(cfg: ScenarioConfig) -> tuple[dict, dict]:
     envs = [f"E{i + 1}" for i in range(cfg.env_count)]
     state = branch_records("S", amps, "A", envs, cfg.overlap)
     report = redundancy_report(state, "S", envs)
+    rows, cum = [], 0.0
+    for i, mi in enumerate(report.per_fragment_mi):
+        cum += mi
+        rows.append([i, mi, cum, report.ratio])
     # A holds a perfect record, so rho_S = diag(|a_k|^2)
     residuals = {
         "system_entropy_gap": abs(report.system_entropy
                                   - _entropy_bits(np.abs(amps) ** 2)),
         "system_entropy_bits": report.system_entropy,
     }
-    return {"redundancy": report.rows()}, residuals
+    return {"redundancy": rows}, residuals
 
 
 def _run_born(cfg: ScenarioConfig) -> tuple[dict, dict]:
@@ -193,8 +197,8 @@ def _run_born(cfg: ScenarioConfig) -> tuple[dict, dict]:
     if bounds_m:
         rows = []
         for bm in bounds_m:
-            bound = bound_spectrum(probs, bm)
-            rows += [[bm, k, bound.lower[k], bound.upper[k], bound.widths[k]]
+            lower, upper = bound_spectrum(probs, bm)
+            rows += [[bm, k, lower[k], upper[k], upper[k] - lower[k]]
                      for k in range(probs.size)]
         tables["bounds"] = rows
         residuals["max_bound_width"] = max(r[4] for r in rows)

@@ -57,19 +57,6 @@ class EnvarianceVerdict:
     reason: str
 
 
-@dataclass(frozen=True, eq=False)
-class ProbabilityBound:
-    """Elementwise interval [lower, upper] per outcome at denominator M."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-    m_used: int
-
-    @property
-    def widths(self) -> np.ndarray:
-        return self.upper - self.lower
-
-
 # ---------------------------------------------------------------------------
 # envariance proper
 
@@ -291,13 +278,13 @@ def present_outcomes(probs) -> np.ndarray:
     return np.sqrt(np.asarray(probs, dtype=float).ravel()) > KERNEL_TOL
 
 
-def bound_spectrum(probs, m: int) -> ProbabilityBound:
-    """Intervals [floor(pM)/M, ceil(pM)/M] per outcome, in the spectrum's
-    order, with counts clipped to [0, M] (a spectrum may sum to just above
-    1).  Each endpoint is realized by a commensurate comparison state (the
-    tests build them), so widths never exceed 2/M.  An outcome of
-    amplitude at most KERNEL_TOL has no Schmidt term: it gets [0, 0] and
-    does not count against M."""
+def bound_spectrum(probs, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper): intervals [floor(pM)/M, ceil(pM)/M] per outcome, in
+    the spectrum's order, with counts clipped to [0, M] (a spectrum may sum
+    to just above 1).  Each endpoint is realized by a commensurate
+    comparison state (the tests build them), so widths never exceed 2/M.
+    An outcome of amplitude at most KERNEL_TOL has no Schmidt term: it
+    gets [0, 0] and does not count against M."""
     probs = np.asarray(probs, dtype=float).ravel()
     present = present_outcomes(probs)
     n = int(np.count_nonzero(present))
@@ -306,8 +293,7 @@ def bound_spectrum(probs, m: int) -> ProbabilityBound:
     scaled = np.where(present, probs * m, 0.0)
     lower_counts = np.clip(np.floor(scaled + ROUND_SLACK).astype(int), 0, m)
     upper_counts = np.clip(np.ceil(scaled - ROUND_SLACK).astype(int), 0, m)
-    return ProbabilityBound(lower=lower_counts / m, upper=upper_counts / m,
-                            m_used=m)
+    return lower_counts / m, upper_counts / m
 
 
 def born_probabilities(state: PureState, system, tolerance: float = COUNT_TOL,
@@ -335,7 +321,8 @@ def schmidt_probabilities(state: PureState, system) -> np.ndarray:
     return probs[_pointer_order(sd)]
 
 
-def rational_bounds(state: PureState, system, m: int) -> ProbabilityBound:
+def rational_bounds(state: PureState, system,
+                    m: int) -> tuple[np.ndarray, np.ndarray]:
     """``bound_spectrum`` of the squared Schmidt coefficients, in pointer
     order (see ``schmidt_probabilities``)."""
     return bound_spectrum(schmidt_probabilities(state, system), m)

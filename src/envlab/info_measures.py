@@ -39,15 +39,6 @@ class RedundancyReport:
     system_entropy: float
     ratio: float
 
-    def rows(self):
-        """(fragment_index, mi_bits, cumulative_bits, ratio) per fragment."""
-        cum = 0.0
-        out = []
-        for i, mi in enumerate(self.per_fragment_mi):
-            cum += mi
-            out.append((i, mi, cum, self.ratio))
-        return out
-
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """-sum p log2 p over the eigenvalues of rho, in bits."""
@@ -63,10 +54,10 @@ def _entropy(state: PureState | BranchState, labels) -> float:
 
 
 def _disjoint(system, fragments) -> tuple[tuple, list[tuple]]:
-    """``system`` and each fragment as label tuples; no label may appear
-    in two of them."""
-    system = _label_tuple(system)
-    frag_sets = [_label_tuple(f) for f in fragments]
+    """``system`` and each fragment as label tuples, a repeated label kept
+    once where first seen; no label may appear in two of them."""
+    system = tuple(dict.fromkeys(_label_tuple(system)))
+    frag_sets = [tuple(dict.fromkeys(_label_tuple(f))) for f in fragments]
     claimed: set[str] = set(system)
     for f in frag_sets:
         if claimed & set(f):

@@ -194,10 +194,10 @@ def test_criterion_7_bounding_convergence():
     truth = np.array([p, 1 - p])
     ok = True
     for m in (100, 1000, 10000):
-        bound = rational_bounds(state, ["S"], m)
-        ok &= np.all(bound.widths <= 2 / m + 1e-15)
-        ok &= np.all(bound.lower <= truth + 1e-15)
-        ok &= np.all(truth <= bound.upper + 1e-15)
+        lower, upper = rational_bounds(state, ["S"], m)
+        ok &= np.all(upper - lower <= 2 / m + 1e-15)
+        ok &= np.all(lower <= truth + 1e-15)
+        ok &= np.all(truth <= upper + 1e-15)
     report(7, "interval widths shrink as 2/M around cos^2(1)", ok)
 
 

@@ -82,8 +82,10 @@ def assert_paths_agree(amps, n_env, overlap):
     assert abs(np.max(np.abs(coherence - np.diag(np.diag(coherence))))
                - np.max(np.abs(rho - np.diag(np.diag(rho))))) <= TOL
     pair = tuple(envs[:2]) if len(envs) > 1 else ("A", envs[0])
-    for fragment in [(envs[0],), pair]:
-        split = ("S",), fragment
+    # a repeated system label counts once on both paths
+    for split in [(("S",), (envs[0],)), (("S", "S"), (envs[0],)),
+                  (("S",), pair)]:
+        fragment = split[1]
         mi = mutual_information(branch, *split)
         for basis in fragment_bases(len(amps) ** len(fragment)):
             got = basis_conditioned_mutual_information(branch, *split, basis)

@@ -2,6 +2,7 @@ import ast
 import csv
 import importlib
 import io
+import itertools
 import json
 import pathlib
 import re
@@ -15,8 +16,9 @@ from envlab import cli, envariance, info_measures, tensor_core
 from envlab.cli import main
 from envlab.info_measures import (
     basis_conditioned_mutual_information,
+    redundancy_report,
 )
-from envlab.measurement_models import cascade_environment
+from envlab.measurement_models import branch_records, cascade_environment
 from oracles import build_branch_state
 
 
@@ -76,6 +78,18 @@ class TestRedundancy:
         assert len(t["rows"]) == 6
         assert abs(float(t["rows"][-1][3]) - 6.0) < 1e-9
         assert abs(float(t["rows"][-1][2]) - 6.0) < 1e-9
+
+    def test_rows_cumulative(self):
+        cfg = cli.ScenarioConfig(kind="redundancy", amplitudes=[0.6, 0.8],
+                                 env_count=3, overlap=0.3)
+        rows = cli.run_scenario(cfg).tables["redundancy"]["rows"]
+        state = branch_records("S", cfg.unit_amplitudes(), "A",
+                               ["E1", "E2", "E3"], 0.3)
+        report = redundancy_report(state, "S", ["E1", "E2", "E3"])
+        mis = report.per_fragment_mi
+        assert rows == [[i, mi, cum, report.ratio] for i, (mi, cum)
+                        in enumerate(zip(mis, itertools.accumulate(mis)))]
+        assert abs(rows[-1][2] - report.mi_sum) < 1e-12
 
 
 class TestBorn:
@@ -621,9 +635,10 @@ README_EXAMPLES = {
 
 @pytest.mark.parametrize("name", sorted(README_EXAMPLES))
 def test_readme_example_matches_golden_csv(capsys, name):
-    code, out, _ = run_cli(capsys, *README_EXAMPLES[name])
+    code, out, err = run_cli(capsys, *README_EXAMPLES[name])
     assert code == 0
     assert out == (GOLDEN / f"{name}.csv").read_text()
+    assert err == ""
 
 
 # nonzero record overlap, where each fragment holds less than H(S)

@@ -480,16 +480,16 @@ class TestRationalBounds:
     @pytest.mark.parametrize("m", [100, 1000, 10000])
     def test_bracketing_and_width(self, m):
         st, p = self._irrational_state()
-        bound = rational_bounds(st, ["S"], m)
+        lower, upper = rational_bounds(st, ["S"], m)
         probs = np.array([p, 1 - p])
-        assert np.all(bound.lower <= probs + 1e-12)
-        assert np.all(probs <= bound.upper + 1e-12)
-        assert np.max(bound.widths) <= 2 / m + 1e-12
+        assert np.all(lower <= probs + 1e-12)
+        assert np.all(probs <= upper + 1e-12)
+        assert np.max(upper - lower) <= 2 / m + 1e-12
 
     def test_exact_rational_zero_width(self):
         st = two_thirds_state()
-        bound = rational_bounds(st, ["S"], 300)
-        assert np.max(bound.widths) < 1e-12
+        lower, upper = rational_bounds(st, ["S"], 300)
+        assert np.max(upper - lower) < 1e-12
 
     def test_m_too_small(self):
         with pytest.raises(errors.MTooSmall):
@@ -503,10 +503,10 @@ class TestRationalBounds:
         # unnormalized on purpose: PureState accepts a norm within STATE_TOL
         st = PureState(SpaceLayout([("S", 2), ("E", 2)]),
                        np.diag(diag).ravel())
-        bound = rational_bounds(st, ["S"], 10 ** 4)
-        assert np.all(0 <= bound.lower)
-        assert np.all(bound.lower <= bound.upper)
-        assert np.all(bound.upper <= 1)
+        lower, upper = rational_bounds(st, ["S"], 10 ** 4)
+        assert np.all(0 <= lower)
+        assert np.all(lower <= upper)
+        assert np.all(upper <= 1)
 
     def test_endpoints_realized_by_comparison_states(self):
         rng = np.random.default_rng(20030816)
@@ -514,13 +514,13 @@ class TestRationalBounds:
             n = int(rng.integers(2, 5))
             probs = rng.dirichlet(np.ones(n))
             m = int(np.exp(rng.uniform(np.log(n), np.log(10 ** 4 + 1))))
-            bound = rational_bounds(bipartite(np.diag(np.sqrt(probs))),
-                                    ["S"], m)
-            assert np.all(bound.lower <= probs + 1e-12)
-            assert np.all(probs <= bound.upper + 1e-12)
-            assert np.max(bound.widths) <= 2 / m + 1e-12
+            lower, upper = rational_bounds(
+                bipartite(np.diag(np.sqrt(probs))), ["S"], m)
+            assert np.all(lower <= probs + 1e-12)
+            assert np.all(probs <= upper + 1e-12)
+            assert np.max(upper - lower) <= 2 / m + 1e-12
             for k in range(n):
-                for end in (bound.lower[k], bound.upper[k]):
+                for end in (lower[k], upper[k]):
                     pinned = int(round(end * m))
                     counts = endpoint_counts(pinned, k, probs, m)
                     assert counts[k] == pinned
@@ -582,14 +582,13 @@ class TestSpectrumKernels:
         m = max(m, n)
         truth = np.random.default_rng(seed).dirichlet(np.ones(n))
         state, probs = scrambled_state(truth, n + 3, seed)
-        bound = rational_bounds(state, ["S"], m)
-        want = bound_spectrum(probs, m)
-        np.testing.assert_array_equal(bound.lower, want.lower)
-        np.testing.assert_array_equal(bound.upper, want.upper)
-        assert bound.m_used == want.m_used == m
-        assert np.all(bound.lower <= truth + 1e-12)
-        assert np.all(truth <= bound.upper + 1e-12)
-        assert np.max(bound.widths) <= 2 / m + 1e-12
+        lower, upper = rational_bounds(state, ["S"], m)
+        want_lower, want_upper = bound_spectrum(probs, m)
+        np.testing.assert_array_equal(lower, want_lower)
+        np.testing.assert_array_equal(upper, want_upper)
+        assert np.all(lower <= truth + 1e-12)
+        assert np.all(truth <= upper + 1e-12)
+        assert np.max(upper - lower) <= 2 / m + 1e-12
 
     @settings(derandomize=True, max_examples=50, deadline=10000,
               database=None)
@@ -603,11 +602,11 @@ class TestSpectrumKernels:
 
     def test_zero_outcome_bounded_at_zero_and_not_counted(self):
         # amplitudes 0 and 1e-13 have no Schmidt term, even at a huge M
-        bound = bound_spectrum([0.0, 0.36, 1e-26, 0.64], 2)
-        np.testing.assert_array_equal(bound.lower, [0, 0, 0, 0.5])
-        np.testing.assert_array_equal(bound.upper, [0, 0.5, 0, 1])
-        bound = bound_spectrum([1e-26, 1.0], 10 ** 18)
-        np.testing.assert_array_equal(bound.upper, [0, 1])
+        lower, upper = bound_spectrum([0.0, 0.36, 1e-26, 0.64], 2)
+        np.testing.assert_array_equal(lower, [0, 0, 0, 0.5])
+        np.testing.assert_array_equal(upper, [0, 0.5, 0, 1])
+        _, upper = bound_spectrum([1e-26, 1.0], 10 ** 18)
+        np.testing.assert_array_equal(upper, [0, 1])
         with pytest.raises(errors.MTooSmall):
             bound_spectrum([0.0, 0.36, 0.64], 1)
 

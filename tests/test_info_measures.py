@@ -117,13 +117,6 @@ class TestRedundancy:
         for mi in rep.per_fragment_mi:
             assert abs(mi - 1.0) < 1e-10
 
-    def test_rows_cumulative(self):
-        st = chain_state([0.6, 0.8], 3)
-        rep = redundancy_report(st, ["S"], [["E0"], ["E1"], ["E2"]])
-        rows = rep.rows()
-        assert [r[0] for r in rows] == [0, 1, 2]
-        assert abs(rows[-1][2] - rep.mi_sum) < 1e-12
-
     def test_uncorrelated_fragment(self):
         st = tensor_product(chain_state([0.6, 0.8], 1),
                             basis_state(SpaceLayout([("F", 2)]), [0]))

@@ -86,8 +86,7 @@ CASES = {
         COUNTED, SubsystemUnitary("Sys", np.diag([1, -1, 1j])), w("E1"))),
     "born_probabilities": lambda w: born_probabilities(COUNTED, w("E1")),
     "schmidt_probabilities": lambda w: schmidt_probabilities(COUNTED, w("E1")),
-    "rational_bounds": lambda w: (lambda b: (b.lower, b.upper))(
-        rational_bounds(COUNTED, w("E1"), 10)),
+    "rational_bounds": lambda w: rational_bounds(COUNTED, w("E1"), 10),
     "fine_grain": lambda w: fine_grain(
         COUNTED, (2, 1), w("E1"), "Anc").amplitudes,
     "mutual_information dense": lambda w: mutual_information(
