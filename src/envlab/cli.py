@@ -72,7 +72,7 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         bad = {}
-        if self.kind not in SCENARIOS:
+        if self.kind not in _PIPELINES:
             bad["kind"] = f"unknown scenario {self.kind!r}"
         with np.errstate(over="ignore"):    # past float range it is inf
             norm = np.linalg.norm(self.amplitudes)
@@ -105,9 +105,11 @@ class ScenarioConfig:
             if min(self.bounds_m) < n:
                 bad["bounds_m"] = ("bounding denominators must be >= the "
                                    f"number of outcomes {n}")
+        if self.out == "":
+            bad["out"] = "output path must not be empty ('-' = stdout)"
         if self.format not in ("csv", "json"):
             bad["format"] = f"unknown format {self.format!r}"
-        if self.kind in SCENARIOS and self.kind != "born" \
+        if self.kind in _PIPELINES and self.kind != "born" \
                 and len(self.amplitudes) < 2:
             bad["amplitudes"] = "scenario needs at least two amplitudes"
         try:
@@ -134,8 +136,6 @@ class RunResult:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     if isinstance(x, (float, np.floating)):
         return format(float(x), ".9g")
     return str(x)
@@ -241,25 +241,24 @@ def _run_cascade(cfg: ScenarioConfig) -> tuple[dict, dict]:
         [[np.exp(2j * np.pi * i * j / d) / np.sqrt(d) for j in range(d)]
          for i in range(d)]
     )
-    rows = []
-    for i, lab in enumerate(distant):
-        mi_ptr = basis_conditioned_mutual_information(
-            state, "S", lab, pointer_basis)
-        mi_conj = basis_conditioned_mutual_information(
-            state, "S", lab, conjugate_basis)
-        rows.append([i, mi_ptr, mi_conj])
+    rows = [[i] + [basis_conditioned_mutual_information(state, "S", lab, basis)
+                   for basis in (pointer_basis, conjugate_basis)]
+            for i, lab in enumerate(distant)]
     residuals = {"max_conjugate_mi": max((r[2] for r in rows), default=0.0)}
     return {"cascade": rows}, residuals
 
 
+# scenario -> (pipeline, fields it reads besides amplitudes, out and format)
 _PIPELINES = {
-    "einselect": _run_einselect,
-    "redundancy": _run_redundancy,
-    "born": _run_born,
-    "envariance": _run_envariance,
-    "cascade": _run_cascade,
+    "einselect": (_run_einselect, ("overlap",)),
+    "redundancy": (_run_redundancy, ("env_count", "overlap")),
+    "born": (_run_born, ("m_cap", "tolerance", "bounds_m")),
+    "envariance": (_run_envariance, ()),
+    "cascade": (_run_cascade, ("env_count",)),
 }
-SCENARIOS = tuple(_PIPELINES)
+# the fields each scenario reads are its only flags and --config keys
+_READS = {kind: ("amplitudes", *reads, "out", "format")
+          for kind, (_, reads) in _PIPELINES.items()}
 
 # each table's header, whichever scenario emits it
 _COLUMNS = {
@@ -276,7 +275,7 @@ _COLUMNS = {
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     cfg.validate()
     start = time.perf_counter()
-    tables, residuals = _PIPELINES[cfg.kind](cfg)
+    tables, residuals = _PIPELINES[cfg.kind][0](cfg)
     tables = {name: {"columns": list(_COLUMNS[name]), "rows": rows}
               for name, rows in tables.items()}
     return RunResult(cfg, tables, residuals, time.perf_counter() - start)
@@ -365,11 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "counting-probability experiment runner.",
     )
     sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in SCENARIOS:
+    for kind, reads in _READS.items():
         p = sub.add_parser(kind)
         p.add_argument("--config", help="JSON config document")
-        for key, (_, _, text) in _FIELDS.items():
-            p.add_argument("--" + key.replace("_", "-"), help=text)
+        for key in reads:
+            p.add_argument("--" + key.replace("_", "-"), help=_FIELDS[key][2])
     return parser
 
 
@@ -395,6 +394,8 @@ def _convert(key: str, value, from_flag: bool):
     """Field value from flag text or from a JSON config value."""
     kind, is_list, _ = _FIELDS[key]
     accepted, what = _JSON_TYPES[kind]
+    if from_flag and not isinstance(value, str):    # --key=-- reads as []
+        raise TypeError("expected one argument")
 
     def item(x):
         if from_flag:
@@ -429,9 +430,9 @@ def config_from_args(args) -> ScenarioConfig:
             raise ValidationFailure({"config": f"invalid JSON: {exc}"})
         if not isinstance(doc, dict):
             raise ValidationFailure({"config": "must be a JSON object"})
-    fields = {}
-    bad = {key: "unknown config field" for key in doc if key not in _FIELDS}
-    for key in _FIELDS:
+    fields, reads = {}, _READS[args.kind]
+    bad = {key: "unknown config field" for key in doc if key not in reads}
+    for key in reads:
         flag = getattr(args, key)
         value = flag if flag is not None else doc.get(key)
         if value is None:

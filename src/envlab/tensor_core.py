@@ -37,12 +37,15 @@ KERNEL_TOL = 1e-12    # kernel-level algebra
 
 
 def dimension_guard() -> int:
-    """Total-dimension guard, overridable via ENVLAB_DIM_GUARD."""
+    """Total-dimension guard, overridable via ENVLAB_DIM_GUARD (>= 1)."""
     raw = os.environ.get("ENVLAB_DIM_GUARD")
     try:
-        return int(raw) if raw else DEFAULT_DIM_GUARD
+        guard = int(raw) if raw else DEFAULT_DIM_GUARD
     except ValueError as exc:   # past its digit limit, int() names the limit
         raise ValueError(f"ENVLAB_DIM_GUARD: {exc}") from None
+    if guard < 1:
+        raise ValueError(f"ENVLAB_DIM_GUARD: must be >= 1, got {guard}")
+    return guard
 
 
 def _label_tuple(labels) -> tuple[str, ...]:

@@ -1,9 +1,11 @@
 import ast
+import contextlib
 import csv
 import importlib
 import io
 import itertools
 import json
+import os
 import pathlib
 import re
 import sys
@@ -11,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from envlab import cli, envariance, info_measures, tensor_core
 from envlab.cli import main
@@ -345,6 +348,9 @@ MALFORMED = [
      "unrecognized arguments: --bogus 3"),
     ((), "kind", "required"),
     (("nosuch", "--amplitudes", "1,1"), "kind", "invalid choice: 'nosuch'.*"),
+    # a flag of another scenario
+    (("born", "--amplitudes", "1,1", "--env-count", "50"), "arguments",
+     "unrecognized arguments: --env-count 50"),
 ]
 
 
@@ -375,12 +381,26 @@ class TestPlumbing:
         ("--format", "xml", "format"),
     ])
     def test_bad_flag_value(self, capsys, flag, value, field):
+        kind = "redundancy" if field in ("env_count", "overlap") else "born"
         code, _, err = run_cli(
-            capsys, "born", "--amplitudes", "1,1", flag, value)
+            capsys, kind, "--amplitudes", "1,1", flag, value)
         assert code == 2
         doc = json.loads(err)
         assert doc["error"] == "validation"
         assert list(doc["fields"]) == [field]
+
+    @pytest.mark.parametrize("key", ["amplitudes", "bounds_m", "m_cap",
+                                     "format", "out"])
+    def test_flag_given_only_the_option_terminator(self, capsys, monkeypatch,
+                                                   tmp_path, key):
+        # argparse reads --key=-- as the empty list, not as text
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "born", "--amplitudes", "1,1",
+                                 f"--{key.replace('_', '-')}=--")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["fields"] == {
+            key: "expected one argument, got []"}
+        assert list(tmp_path.iterdir()) == []
 
     def test_one_token_negative_amplitudes(self, capsys):
         code, out, _ = run_cli(capsys, "einselect", "--amplitudes=-0.6,0.8")
@@ -534,6 +554,17 @@ class TestPlumbing:
         assert code == 2
         assert list(json.loads(err)["fields"]) == ["ENVLAB_DIM_GUARD"]
 
+    @pytest.mark.parametrize("kind", ["einselect", "redundancy", "born",
+                                      "envariance", "cascade"])
+    @pytest.mark.parametrize("guard", ["0", "-5"])
+    def test_dimension_guard_below_one(self, capsys, monkeypatch, kind,
+                                       guard):
+        monkeypatch.setenv("ENVLAB_DIM_GUARD", guard)
+        code, out, err = run_cli(capsys, kind, "--amplitudes", "1,1")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["fields"] == {
+            "ENVLAB_DIM_GUARD": f"ENVLAB_DIM_GUARD: must be >= 1, got {guard}"}
+
     def test_dimension_guard_past_the_int_digit_limit(self, capsys,
                                                       monkeypatch):
         # an integer, but longer than int() reads: the message names the
@@ -551,6 +582,8 @@ class TestPlumbing:
         ([1, 1], "config"),
         # a misspelt field, not dropped in favour of the default
         ({"amplitudes": [1, 1], "envcount": 3}, "envcount"),
+        # a field that only another scenario reads
+        ({"amplitudes": [1, 1], "m_cap": 5}, "m_cap"),
     ])
     def test_mistyped_config(self, capsys, tmp_path, doc, field):
         cfg = tmp_path / "cfg.json"
@@ -585,10 +618,8 @@ class TestPlumbing:
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
-        # m_cap is a known field that redundancy ignores
         cfg.write_text(json.dumps(
-            {"amplitudes": [1, 1], "env_count": 2, "format": "csv",
-             "m_cap": 5}))
+            {"amplitudes": [1, 1], "env_count": 2, "format": "csv"}))
         code, out, _ = run_cli(
             capsys, "redundancy", "--config", str(cfg), "--env-count", "4")
         assert code == 0
@@ -609,6 +640,19 @@ class TestPlumbing:
             capsys, "born", "--config", str(cfg))
         assert code == 2
         assert "config" in json.loads(err)["fields"]
+
+    def test_empty_out_rejected_before_the_run(self, capsys, monkeypatch,
+                                               tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scenario ran")
+
+        monkeypatch.setattr(cli, "count_spectrum", refuse)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            capsys, "born", "--amplitudes", "1,1", "--out", "")
+        assert (code, out) == (2, "")
+        assert list(json.loads(err)["fields"]) == ["out"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_file_written(self, capsys, tmp_path):
         target = tmp_path / "report.csv"
@@ -659,12 +703,15 @@ def test_overlap_example_matches_golden_csv(capsys, name):
     assert out == (GOLDEN / f"{name}.csv").read_text()
 
 
-@pytest.mark.parametrize("name", ["envlab", "einselect", "redundancy", "born",
-                                  "envariance", "cascade"])
+# the -h pages; tests/golden/help_<name>.txt holds each at COLUMNS=80
+HELP_PAGES = {"envlab": ("-h",), **{kind: (kind, "-h") for kind in cli._READS}}
+
+
+@pytest.mark.parametrize("name", sorted(HELP_PAGES))
 def test_help_text_matches_golden(capsys, monkeypatch, name):
     monkeypatch.setenv("COLUMNS", "80")     # argparse wraps to the terminal
     with pytest.raises(SystemExit) as exc:
-        main(["-h"] if name == "envlab" else [name, "-h"])
+        main(list(HELP_PAGES[name]))
     assert exc.value.code == 0
     assert capsys.readouterr().out == (GOLDEN / f"help_{name}.txt").read_text()
 
@@ -830,3 +877,141 @@ def test_every_traced_name_resolves():
                if not hasattr(importlib.import_module(f"envlab.{module}"),
                               name)]
     assert missing == []
+
+
+# values per item type of cli._FIELDS, valid or not for a field; valid
+# integers stay at most 10^4, as a denominator scan to 10^7 takes a second
+VALUES = {
+    int: [-2, 0, 1, 2, 3, 5, 8, 100, 10 ** 4, 10 ** 7 + 1, 2 ** 53 + 1],
+    float: [0.0, 0.3, 0.6, 0.8, 1.0, -0.5, 1.5, 1e-6, 1e-300, 1e300,
+            float("nan"), float("inf")],
+    str: ["csv", "json", "xml", ""],
+}
+# text that no item type reads, or not all of them; none starts with -h,
+# which prints the usage and exits 0 through SystemExit, as documented
+TEXT = ["x", "1.5", "1e-", "1,,x", "-", "--", "-0.5,0.8", "0x10"]
+# neither a flag nor a config field of any scenario; --delta is planned
+UNKNOWN = ["bogus", "delta"]
+# the fields a failure may name besides those the scenario reads
+OTHER_FIELDS = {"kind", "config", "arguments", "scenario", "ENVLAB_DIM_GUARD"}
+
+
+def _values(key):
+    """Values of ``key``'s item type (int for an unknown key); for a list
+    field, lists of none, one, two and four of them."""
+    item_type, is_list, _ = cli._FIELDS.get(key, (int, False, None))
+    items = VALUES[item_type]
+    if not is_list:
+        return items
+    return [[]] + [[x] for x in items] + [list(pair) for pair in
+                                         zip(items, items[1:])] + [items[:4]]
+
+
+def _flags(key):
+    """The command-line tokens of ``key`` with each value, read or not:
+    first ``--key value`` for each value of its type, then the rest."""
+    flag = "--" + key.replace("_", "-")
+    texts = [",".join(map(str, v)) if isinstance(v, list) else str(v)
+             for v in _values(key)] + TEXT
+    return [[flag, t] for t in texts] + [[f"{flag}={t}"] for t in texts]
+
+
+def _config_docs(key):
+    """One-field config documents for ``key``, its value of the field's
+    type or not."""
+    return [{key: v} for v in _values(key) + TEXT + [True, [1, "x"]]]
+
+
+# --out names a file in the test's directory or in one that does not
+# exist, stdout or nothing, as a flag or a config field; it is drawn with
+# ENVLAB_DIM_GUARD, and each is left unset in about half the draws
+_OUTS = [None] * 9 + [(where, target) for where in ("flag", "config")
+                      for target in ("report", "no/report", "-", "")] \
+    + [("config", 3)]
+_OUTS_AND_GUARDS = [(out, guard) for out in _OUTS
+                    for guard in [None] * 4 + ["64", "0", "-5", "abc"]]
+
+
+def _invocations(kind):
+    """(kind, argv, config document, (--out, ENVLAB_DIM_GUARD)) for one
+    scenario name.  Each part is one choice from a list, which Hypothesis
+    draws several times faster than a list of varying length.  A
+    scenario's own fields come three times as often as each field of any
+    scenario and the unknown ones; half the draws add no flag and half
+    no document."""
+    own = [k for k in cli._READS.get(kind, ["amplitudes"]) if k != "out"]
+    keys = own * 3 + [k for k in cli._FIELDS if k != "out"] + UNKNOWN
+    flags = [tokens for key in keys for tokens in _flags(key)]
+    docs = [doc for key in keys for doc in _config_docs(key)] + [[1, 1]]
+    amplitudes = _flags("amplitudes")[:len(_values("amplitudes"))] + [[]]
+    return st.tuples(
+        st.sampled_from(amplitudes),
+        st.sampled_from([[]] * len(flags) + flags),
+        st.sampled_from([None] * len(docs) + docs),
+        st.sampled_from(_OUTS_AND_GUARDS),
+    ).map(lambda t: (kind, [kind, *t[0], *t[1]], t[2], t[3]))
+
+
+# built once: a strategy built during a draw is validated again each time
+INVOCATIONS = st.one_of([_invocations(kind)
+                         for kind in [*cli._READS, "nosuch"]])
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(invocation=INVOCATIONS)
+def test_cli_contract(tmp_path_factory, invocation):
+    """Every command line drawn from the scenario table ends in a
+    documented exit code with the documented output: one JSON document
+    on stderr naming fields the scenario reads or the config names, and
+    on success its tables under their headers."""
+    kind, argv, doc, (out, guard) = invocation
+    here = tmp_path_factory.getbasetemp() / "cli_contract"
+    here.mkdir(exist_ok=True)
+    if out is not None:
+        where, target = out
+        if target in ("report", "no/report"):
+            target = str(here / target)
+        if where == "flag":
+            argv = argv + ["--out", target]
+        elif isinstance(doc, dict):
+            doc = {**doc, "out": target}
+    if doc is not None:
+        (here / "cfg.json").write_text(json.dumps(doc))
+        argv = argv + ["--config", str(here / "cfg.json")]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    # set by hand: monkeypatch is not undone between Hypothesis examples
+    saved = os.environ.get("ENVLAB_DIM_GUARD")
+    os.environ["ENVLAB_DIM_GUARD"] = guard or ""    # empty: the default
+    try:
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    finally:
+        if saved is None:
+            del os.environ["ENVLAB_DIM_GUARD"]
+        else:
+            os.environ["ENVLAB_DIM_GUARD"] = saved
+    (here / "cfg.json").unlink(missing_ok=True)
+    report = here / "report"
+    written = report.read_text() if report.exists() else None
+    report.unlink(missing_ok=True)
+    assert list(here.iterdir()) == []        # no temporary file is left
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert (stdout.getvalue(), written) == ("", None)
+        error = json.loads(stderr.getvalue())
+        assert error["error"] == {2: "validation", 3: "dimension_guard",
+                                  4: "io"}[code]
+        fields = error.get("fields", {})
+        named = set(doc) if isinstance(doc, dict) else set()
+        assert set(fields) <= set(cli._READS.get(kind, ())) | named \
+            | OTHER_FIELDS
+        return
+    assert stderr.getvalue() == ""
+    text = stdout.getvalue() if written is None else written
+    assert written is None or stdout.getvalue() == ""
+    tables = (json.loads(text)["tables"] if text.startswith("{")
+              else parse_tables(text))
+    assert tables
+    for name, table in tables.items():
+        assert table["columns"] == list(cli._COLUMNS[name])
