@@ -339,7 +339,8 @@ class _Parser(argparse.ArgumentParser):
     """Command-line errors are validation failures, reported as the same
     field-level JSON as a bad flag value.  argparse words them as
     "argument NAME: DETAIL" or "the following arguments are required:
-    NAME, ..."; anything else falls under the field "arguments"."""
+    NAME, ..."; the message falls under the field "arguments" when NAME
+    is not a field the user sets (``-h/--help``), and for anything else."""
 
     def error(self, message):
         required = "the following arguments are required: "
@@ -348,7 +349,8 @@ class _Parser(argparse.ArgumentParser):
             raise ValidationFailure({_field(n): "required" for n in names})
         if message.startswith("argument ") and ": " in message:
             name, detail = message[len("argument "):].split(": ", 1)
-            raise ValidationFailure({_field(name): detail})
+            if _field(name) in (*_FIELDS, "config", "kind"):
+                raise ValidationFailure({_field(name): detail})
         raise ValidationFailure({"arguments": message})
 
 
@@ -434,9 +436,9 @@ def config_from_args(args) -> ScenarioConfig:
     bad = {key: "unknown config field" for key in doc if key not in reads}
     for key in reads:
         flag = getattr(args, key)
-        value = flag if flag is not None else doc.get(key)
-        if value is None:
+        if flag is None and key not in doc:
             continue
+        value = flag if flag is not None else doc[key]
         try:
             fields[key] = _convert(key, value, flag is not None)
         except (TypeError, OverflowError) as exc:

@@ -37,7 +37,8 @@ from .tensor_core import (
 DEFAULT_M_CAP = 10 ** 4
 COUNT_TOL = 1e-10        # default counting tolerance |p_k - m_k / M|
 ROUND_SLACK = 1e-9       # fine-graining counts and rational-bound rounding
-_SCAN_BLOCK = 1024       # denominator candidates tested per numpy pass
+_SCAN_BLOCK = 1024       # denominator candidates tested per numpy pass,
+_SCAN_CELLS = 2 ** 18    # fewer if candidates x outcomes would pass this
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,8 +240,9 @@ def find_commensurate_denominator(probs, tolerance: float,
     n = probs.size
     if n == 0:
         raise UseBoundsInstead("an empty spectrum has no counting denominator")
-    for start in range(n, m_cap + 1, _SCAN_BLOCK):
-        ms = np.arange(start, min(start + _SCAN_BLOCK, m_cap + 1))
+    block = min(_SCAN_BLOCK, max(1, _SCAN_CELLS // n))
+    for start in range(n, m_cap + 1, block):
+        ms = np.arange(start, min(start + block, m_cap + 1))
         counts = np.rint(probs[:, np.newaxis] * ms).astype(int)
         gaps = np.max(np.abs(probs[:, np.newaxis] - counts / ms), axis=0)
         hits = np.flatnonzero((counts.min(axis=0) >= 1)

@@ -3,9 +3,9 @@
 
 All entropies are von Neumann, base-2 logarithm, in bits.  Eigenvalues
 at or below ``KERNEL_TOL`` are dropped when evaluating x*log2(x).
-Mutual information, redundancy and basis-conditioned information accept
-a dense ``PureState`` or a ``BranchState``, whose reduced states come
-from its record kets and their Gram matrices.
+Mutual information, redundancy and basis-conditioned information take
+a ``BranchState``, whose reduced states come from its record kets and
+their Gram matrices.
 """
 from __future__ import annotations
 
@@ -18,15 +18,10 @@ from .tensor_core import (
     KERNEL_TOL,
     BranchState,
     DensityOperator,
-    PureState,
-    _average_entropy,
-    _basis_rows,
     _conditioned_entropy,
     _entropy_bits,
-    _grouped,
     _label_tuple,
     _reduction,
-    partial_trace,
 )
 
 
@@ -45,12 +40,13 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return _entropy_bits(rho.eigenvalues())
 
 
-def _entropy(state: PureState | BranchState, labels) -> float:
-    """Entropy of the reduced state on ``labels``, in bits; a
-    ``BranchState`` keeps it next to the spectrum it sums over."""
-    if isinstance(state, BranchState):
-        return _reduction(state, labels)[1]
-    return von_neumann_entropy(partial_trace(state, labels))
+def _entropy(state: BranchState, labels) -> float:
+    """Entropy of the reduced state on ``labels``, in bits, kept next to
+    the spectrum it sums over; each measure takes H(S) first, so this is
+    where a state of another type is rejected."""
+    if not isinstance(state, BranchState):
+        raise TypeError(f"not a BranchState: {type(state).__name__}")
+    return _reduction(state, labels)[1]
 
 
 def _disjoint(system, fragments) -> tuple[tuple, list[tuple]]:
@@ -66,15 +62,14 @@ def _disjoint(system, fragments) -> tuple[tuple, list[tuple]]:
     return system, frag_sets
 
 
-def mutual_information(state: PureState | BranchState, system,
-                       fragment) -> float:
+def mutual_information(state: BranchState, system, fragment) -> float:
     """I(S:F) = H(S) + H(F) - H(S,F) in bits, clamped to >= 0."""
     system, (fragment,) = _disjoint(system, [fragment])
     return _mutual_information(state, system, fragment,
                                _entropy(state, system))
 
 
-def _mutual_information(state: PureState | BranchState, system: tuple,
+def _mutual_information(state: BranchState, system: tuple,
                         fragment: tuple, hs: float) -> float:
     """I(S:F) given H(S) = ``hs``, clamped to >= 0."""
     hf = _entropy(state, fragment)
@@ -82,7 +77,7 @@ def _mutual_information(state: PureState | BranchState, system: tuple,
     return max(0.0, hs + hf - hsf)
 
 
-def redundancy_report(state: PureState | BranchState, system,
+def redundancy_report(state: BranchState, system,
                       fragments) -> RedundancyReport:
     """Summed fragment MI and the redundancy ratio I_total / H(S)."""
     system, frag_sets = _disjoint(system, fragments)
@@ -95,26 +90,19 @@ def redundancy_report(state: PureState | BranchState, system,
 
 
 def basis_conditioned_mutual_information(
-    state: PureState | BranchState, system, fragment, fragment_basis
+    state: BranchState, system, fragment, fragment_basis
 ) -> float:
     """H(S) minus the average post-measurement entropy of S.
 
     ``fragment``, its labels in layout order, is projected onto each
     vector of ``fragment_basis``; the conditional state of ``system`` is
-    the remainder traced down to its labels (for a ``BranchState``,
-    ``branch_outcomes``, so the system must hold the pointer label).
-    Outcomes with probability below ``KERNEL_TOL`` are skipped.  A
-    ``BranchState`` keeps the average it computes.
+    the remainder traced down to its labels, ``branch_outcomes``, so the
+    system must hold the pointer label.  Outcomes with probability below
+    ``KERNEL_TOL`` are skipped.  The state keeps the average it computes.
     """
     system, (fragment,) = _disjoint(system, [fragment])
     hs = _entropy(state, system)
-    if isinstance(state, BranchState):
-        avg = _conditioned_entropy(state, system, fragment, fragment_basis)
-    else:
-        arr, _ = _grouped(state, system, state.layout.split(fragment)[0])
-        rows = _basis_rows(fragment_basis, arr.shape[1]).conj()
-        kept = np.einsum("bf,sfr->bsr", rows, arr)
-        avg = _average_entropy(kept @ kept.conj().transpose(0, 2, 1))
+    avg = _conditioned_entropy(state, system, fragment, fragment_basis)
     return max(0.0, hs - avg)
 
 

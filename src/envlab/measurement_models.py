@@ -109,9 +109,9 @@ def branch_records(system: str, amplitudes, apparatus: str | None = None,
     d = len(amplitudes)
     if d < 2:
         raise DimensionMismatch("pointer dimension must be >= 2")
-    recs = record_states(d, d, overlap)
     environments = _label_tuple(environments)
     perfect = (system,) + ((apparatus,) if apparatus is not None else ())
     layout = SpaceLayout([(l, d) for l in perfect + environments])
+    recs = record_states(d, d, overlap)   # d x d, once the guard passed
     kets = [np.eye(d)] * len(perfect) + [recs] * len(environments)
     return BranchState(layout, amplitudes, kets)

@@ -14,7 +14,9 @@ reaches live here too, as the tests' reference: one-subsystem states,
 Schmidt reconstruction, equality up to global phase, the gates that
 pre-measure, entangle an environment and write an observer's record,
 the observer's conditional outcome table, subset probabilities, the
-phase-sensitivity witness, and the state files.  ``save_state`` /
+phase-sensitivity witness, the state files, and the information
+measures of a dense ``PureState``, reduced by ``partial_trace``, which
+the library computes from a ``BranchState`` only.  ``save_state`` /
 ``load_state`` use a small JSON format::
 
     {
@@ -37,8 +39,18 @@ from envlab.envariance import (
     equal_amplitude_probabilities,
     fine_grain,
 )
-from envlab.errors import BadIndex, InvalidBipartition, LayoutMismatch
-from envlab.info_measures import trace_distance
+from envlab.errors import (
+    BadIndex,
+    InvalidBipartition,
+    LayoutMismatch,
+    UndefinedRatio,
+)
+from envlab.info_measures import (
+    RedundancyReport,
+    _disjoint,
+    trace_distance,
+    von_neumann_entropy,
+)
 from envlab.measurement_models import _write_record, broadcast_environment
 from envlab.tensor_core import (
     KERNEL_TOL,
@@ -46,6 +58,8 @@ from envlab.tensor_core import (
     PureState,
     SchmidtDecomposition,
     SpaceLayout,
+    _average_entropy,
+    _basis_rows,
     _grouped,
     _label_tuple,
     attach_ready,
@@ -194,6 +208,57 @@ def phase_sensitivity_witness(psi: PureState, psi_prime: PureState):
 
     post_gap = trace_distance(reduced(psi), reduced(psi_prime))
     return float(gap), float(post_gap)
+
+
+# ---------------------------------------------------------------------------
+# information measures of a dense state, under the library's label rules
+
+def _dense_entropy(state: PureState, labels) -> float:
+    """Entropy of the reduced state on ``labels``, in bits."""
+    return von_neumann_entropy(partial_trace(state, labels))
+
+
+def dense_mutual_information(state: PureState, system, fragment) -> float:
+    """I(S:F) = H(S) + H(F) - H(S,F) in bits, clamped to >= 0."""
+    system, (fragment,) = _disjoint(system, [fragment])
+    return _dense_mutual_information(state, system, fragment,
+                                     _dense_entropy(state, system))
+
+
+def _dense_mutual_information(state, system, fragment, hs) -> float:
+    """I(S:F) given H(S) = ``hs``, clamped to >= 0."""
+    hf = _dense_entropy(state, fragment)
+    hsf = _dense_entropy(state, system + fragment)
+    return max(0.0, hs + hf - hsf)
+
+
+def dense_redundancy_report(state: PureState, system,
+                            fragments) -> RedundancyReport:
+    """Summed fragment MI and the redundancy ratio I_total / H(S)."""
+    system, frag_sets = _disjoint(system, fragments)
+    hs = _dense_entropy(state, system)
+    if hs <= KERNEL_TOL:
+        raise UndefinedRatio("system entropy is zero; ratio undefined")
+    mis = tuple(_dense_mutual_information(state, system, f, hs)
+                for f in frag_sets)
+    total = float(sum(mis))
+    return RedundancyReport(mis, total, hs, total / hs)
+
+
+def dense_basis_conditioned_mutual_information(state: PureState, system,
+                                               fragment,
+                                               fragment_basis) -> float:
+    """H(S) minus the average entropy of S after ``fragment``, its labels
+    in layout order, is projected onto each vector of ``fragment_basis``;
+    each conditional state of ``system`` is the remainder traced down to
+    its labels, and outcomes below ``KERNEL_TOL`` are skipped."""
+    system, (fragment,) = _disjoint(system, [fragment])
+    hs = _dense_entropy(state, system)
+    arr, _ = _grouped(state, system, state.layout.split(fragment)[0])
+    rows = _basis_rows(fragment_basis, arr.shape[1]).conj()
+    kept = np.einsum("bf,sfr->bsr", rows, arr)
+    avg = _average_entropy(kept @ kept.conj().transpose(0, 2, 1))
+    return max(0.0, hs - avg)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,9 @@ from envlab.envariance import (
     schmidt_phase_unitary,
     schmidt_probabilities,
 )
-from envlab.info_measures import (
-    mutual_information,
-    redundancy_report,
-)
+from envlab.info_measures import redundancy_report
 from envlab.measurement_models import (
+    branch_records,
     build_branch_state,
 )
 from envlab.tensor_core import (
@@ -37,6 +35,8 @@ from envlab.tensor_core import (
 
 from oracles import (
     conditional_probability,
+    dense_mutual_information,
+    dense_redundancy_report,
     entangle_environment,
     enumerate_equal_terms,
     mutual_information_oracle,
@@ -105,10 +105,12 @@ def test_criterion_2_redundancy_ratio_counts_records():
     ok = True
     for n in range(1, 11):
         envs = [f"E{i}" for i in range(n)]
-        state = build_branch_state(
+        state = branch_records(
             "S", (1 / np.sqrt(2), 1 / np.sqrt(2)), "A", envs)
-        rep = redundancy_report(state, ["S"], [[e] for e in envs])
-        ok &= abs(rep.ratio - n) < 1e-9
+        for rep in (redundancy_report(state, ["S"], [[e] for e in envs]),
+                    dense_redundancy_report(state.dense(), ["S"],
+                                            [[e] for e in envs])):
+            ok &= abs(rep.ratio - n) < 1e-9
     report(2, "redundancy ratio equals environment count", ok)
 
 
@@ -244,7 +246,7 @@ def test_criterion_10_oracle_equivalence():
         want = partial_trace_oracle(st.amplitudes, dims, keep)
         ok &= np.max(np.abs(got - want)) < 1e-12
         if n >= 2:
-            mi = mutual_information(st, [labels[0]], [labels[-1]])
+            mi = dense_mutual_information(st, [labels[0]], [labels[-1]])
             want_mi = mutual_information_oracle(st.amplitudes, dims,
                                                 [0], [n - 1])
             ok &= abs(mi - want_mi) < 1e-12

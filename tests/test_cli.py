@@ -10,19 +10,20 @@ import pathlib
 import re
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from envlab import cli, envariance, info_measures, tensor_core
+from envlab import cli, envariance, tensor_core
 from envlab.cli import main
-from envlab.info_measures import (
-    basis_conditioned_mutual_information,
-    redundancy_report,
-)
+from envlab.info_measures import redundancy_report
 from envlab.measurement_models import branch_records, cascade_environment
-from oracles import build_branch_state
+from oracles import (
+    build_branch_state,
+    dense_basis_conditioned_mutual_information,
+)
 
 
 def run_cli(capsys, *argv):
@@ -309,7 +310,7 @@ class TestCascade:
         state = cascade_environment(state, immediate, distant)
         r = np.arange(d)
         fourier = np.exp(2j * np.pi * np.outer(r, r) / d) / np.sqrt(d)
-        want = [[i] + [basis_conditioned_mutual_information(
+        want = [[i] + [dense_basis_conditioned_mutual_information(
                     state, ("S",), (label,), basis)
                     for basis in (np.eye(d), fourier)]
                 for i, label in enumerate(distant)]
@@ -351,6 +352,9 @@ MALFORMED = [
     # a flag of another scenario
     (("born", "--amplitudes", "1,1", "--env-count", "50"), "arguments",
      "unrecognized arguments: --env-count 50"),
+    # -h is no field: its one-token form with a value
+    (("born", "--amplitudes", "1,1", "-hx"), "arguments",
+     "argument -h/--help: ignored explicit argument 'x'"),
 ]
 
 
@@ -427,6 +431,26 @@ class TestPlumbing:
         code, _, err = run_cli(capsys, "born")
         assert code == 2
         assert "amplitudes" in json.loads(err)["fields"]
+
+    @pytest.mark.parametrize("kind, n, code, limit_mib", [
+        # the guard rejects d = 2000 before the d x d record kets are built
+        ("einselect", 2000, 3, 1),
+        # the denominator scan holds n x 52 cells, not n x 1024, per pass
+        ("born", 5000, 0, 16),
+    ])
+    def test_peak_memory_of_many_amplitudes(self, capsys, kind, n, code,
+                                            limit_mib):
+        tracemalloc.start()
+        try:
+            got, out, _ = run_cli(capsys, kind, "--amplitudes",
+                                  ",".join(["1"] * n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == code
+        assert peak < limit_mib * 2 ** 20
+        if code == 0:
+            assert len(parse_tables(out)[kind]["rows"]) == n
 
     def test_dimension_guard_exit_code(self, capsys, monkeypatch):
         monkeypatch.setenv("ENVLAB_DIM_GUARD", "8")
@@ -584,6 +608,8 @@ class TestPlumbing:
         ({"amplitudes": [1, 1], "envcount": 3}, "envcount"),
         # a field that only another scenario reads
         ({"amplitudes": [1, 1], "m_cap": 5}, "m_cap"),
+        # null is a value of the wrong type, not the default
+        ({"amplitudes": [1, 1], "env_count": None}, "env_count"),
     ])
     def test_mistyped_config(self, capsys, tmp_path, doc, field):
         cfg = tmp_path / "cfg.json"
@@ -837,7 +863,7 @@ def test_a_kept_result_resolves_no_label_set(capsys, monkeypatch, argv,
     ((tensor_core,), "_entropy_bits",
      ("redundancy", "--amplitudes", "0.6,0.8", "--overlap", "0.3"), (20, 200)),
     # a basis is checked once per average computed
-    ((tensor_core, info_measures), "_basis_rows",
+    ((tensor_core,), "_basis_rows",
      ("cascade", "--amplitudes", "0.6,0.8"), (5, 50)),
 ])
 def test_a_kept_result_is_looked_up_without_numpy_work(
@@ -918,8 +944,8 @@ def _flags(key):
 
 def _config_docs(key):
     """One-field config documents for ``key``, its value of the field's
-    type or not."""
-    return [{key: v} for v in _values(key) + TEXT + [True, [1, "x"]]]
+    type or not (null among the others)."""
+    return [{key: v} for v in _values(key) + TEXT + [True, [1, "x"], None]]
 
 
 # --out names a file in the test's directory or in one that does not

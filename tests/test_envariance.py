@@ -381,6 +381,16 @@ class TestCommensurate:
         assert want == (m, (1, m - 1))
         assert find_commensurate_denominator(probs, 1e-10) == want
 
+    def test_many_outcomes_scan_narrower_blocks(self):
+        # 600 outcomes: blocks of 2^18 // 600 = 436 candidates, so the scan
+        # from M = 600 finds M = 1500 in its third block
+        counts = np.ones(600, dtype=int)
+        counts[0] = 901
+        probs = counts / counts.sum()
+        want = scalar_commensurate_denominator(probs, 1e-10, 10 ** 4)
+        assert want == (1500, tuple(counts))
+        assert find_commensurate_denominator(probs, 1e-10) == want
+
     def test_full_miss_at_large_cap(self):
         p = np.cos(1.0) ** 2
         with pytest.raises(errors.UseBoundsInstead):

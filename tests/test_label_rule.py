@@ -89,12 +89,8 @@ CASES = {
     "rational_bounds": lambda w: rational_bounds(COUNTED, w("E1"), 10),
     "fine_grain": lambda w: fine_grain(
         COUNTED, (2, 1), w("E1"), "Anc").amplitudes,
-    "mutual_information dense": lambda w: mutual_information(
-        DENSE, w("Sys"), w("E1")),
     "mutual_information branch": lambda w: mutual_information(
         BRANCH, w("Sys"), w("E1")),
-    "basis_conditioned dense": lambda w: basis_conditioned_mutual_information(
-        DENSE, w("Sys"), w("E1"), FOURIER),
     "basis_conditioned branch": lambda w: basis_conditioned_mutual_information(
         BRANCH, w("Sys"), w("E1"), FOURIER),
     "redundancy_report": lambda w: _report(redundancy_report(
@@ -168,16 +164,15 @@ def fresh_branch():
     pytest.param(lambda: branch_outcomes(fresh_branch(), "Sys", ["E1", "E2"],
                                          np.kron(FOURIER, FOURIER)), 0,
                  id="branch_outcomes"),
+    pytest.param(lambda: basis_conditioned_mutual_information(
+        fresh_branch(), "Sys", ["E2", "E1"], np.eye(4)), 0,
+        id="basis_conditioned_branch"),
     pytest.param(lambda: partial_trace(DENSE, ["Sys", "E1"]), 1,
                  id="partial_trace"),
     pytest.param(lambda: schmidt_decompose(DENSE, "Sys"), 1,
                  id="schmidt_decompose"),
     pytest.param(lambda: relative_states(DENSE, "E1", np.eye(2)), 1,
                  id="relative_states"),
-    # H(S), then the fragment in layout order
-    pytest.param(lambda: basis_conditioned_mutual_information(
-        DENSE, "Sys", ["E2", "E1"], np.eye(4)), 2,
-        id="basis_conditioned_dense"),
 ])
 def test_branch_kernels_resolve_each_label_set_once(monkeypatch, call,
                                                     label_sets):

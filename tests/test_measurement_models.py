@@ -2,11 +2,6 @@ import numpy as np
 import pytest
 
 from envlab import errors
-from envlab.info_measures import (
-    basis_conditioned_mutual_information,
-    mutual_information,
-    redundancy_report,
-)
 from envlab.measurement_models import (
     branch_records,
     broadcast_environment,
@@ -27,6 +22,9 @@ from envlab.tensor_core import (
 
 from oracles import (
     conditional_probability,
+    dense_basis_conditioned_mutual_information,
+    dense_mutual_information,
+    dense_redundancy_report,
     entangle_environment,
     observer_record,
     premeasure,
@@ -121,18 +119,19 @@ class TestBroadcast:
     def test_eight_perfect_records(self):
         st = build_branch_state("S", (1 / np.sqrt(2), 1 / np.sqrt(2)), "A",
                                 [f"E{i}" for i in range(8)])
-        rep = redundancy_report(st, ["S"], [[f"E{i}"] for i in range(8)])
+        rep = dense_redundancy_report(st, ["S"],
+                                      [[f"E{i}"] for i in range(8)])
         assert abs(rep.ratio - 8.0) < 1e-9
 
     def test_partial_overlap_intermediate_information(self):
         st = build_branch_state("S", (1 / np.sqrt(2), 1 / np.sqrt(2)), "A",
                                 ["E0"], np.cos(np.pi / 4))
-        mi = mutual_information(st, ["S"], ["E0"])
+        mi = dense_mutual_information(st, ["S"], ["E0"])
         assert 1e-3 < mi < 1.0 - 1e-3
 
     def test_overlap_one_no_information(self):
         st = build_branch_state("S", (0.6, 0.8), "A", ["E0"], 1.0)
-        mi = mutual_information(st, ["S"], ["E0"])
+        mi = dense_mutual_information(st, ["S"], ["E0"])
         assert mi < 1e-10
 
     def test_unitarity(self):
@@ -153,7 +152,7 @@ class TestCascade:
         st = cascade_environment(self._seed(3), [f"E{i}" for i in range(3)],
                                  [f"F{i}" for i in range(3)])
         for i in range(3):
-            mi = basis_conditioned_mutual_information(
+            mi = dense_basis_conditioned_mutual_information(
                 st, ["S"], [f"F{i}"], list(np.eye(2)))
             assert abs(mi - 1.0) < 1e-10
 
@@ -162,7 +161,7 @@ class TestCascade:
                                  [f"F{i}" for i in range(3)])
         had = [np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2)]
         for i in range(3):
-            mi = basis_conditioned_mutual_information(
+            mi = dense_basis_conditioned_mutual_information(
                 st, ["S"], [f"F{i}"], had)
             assert mi < 1e-10
 
