@@ -90,7 +90,7 @@ class ScenarioConfig:
             bad["overlap"] = f"overlap {self.overlap} outside [0, 1]"
         if self.m_cap < 1:
             bad["m_cap"] = "denominator cap must be >= 1"
-        elif self.m_cap > 10 ** 7:  # the scan takes ~50 ns per candidate
+        elif self.m_cap > 10 ** 7:  # ~13 ns per candidate, few outcomes
             bad["m_cap"] = "denominator cap must be <= 10^7"
         if not np.isfinite(self.tolerance):
             bad["tolerance"] = "tolerance must be finite"

@@ -37,8 +37,8 @@ from .tensor_core import (
 DEFAULT_M_CAP = 10 ** 4
 COUNT_TOL = 1e-10        # default counting tolerance |p_k - m_k / M|
 ROUND_SLACK = 1e-9       # fine-graining counts and rational-bound rounding
-_SCAN_BLOCK = 1024       # denominator candidates tested per numpy pass,
-_SCAN_CELLS = 2 ** 18    # fewer if candidates x outcomes would pass this
+_SCAN_BLOCK = 1024       # denominator candidates outcome 0 filters per pass
+_SCAN_CELLS = 2 ** 18    # candidates x outcomes the full rule tests per pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,21 +234,27 @@ def fine_grain(state: PureState, counts, system, ancilla: str,
 def find_commensurate_denominator(probs, tolerance: float,
                                   m_cap: int = DEFAULT_M_CAP):
     """Smallest M <= m_cap with all probs within tolerance of m_k / M and
-    each m_k >= 1; returns (M, counts) or raises UseBoundsInstead.  Each
-    candidate in a block gets the float operations of a one-by-one scan."""
+    each m_k >= 1; returns (M, counts) or raises UseBoundsInstead.  A block
+    of candidates keeps those that outcome 0 fits, and the full rule then
+    tests them in passes of at most _SCAN_CELLS cells; each candidate gets
+    the float operations of a one-by-one scan."""
     probs = np.asarray(probs, dtype=float).ravel()
     n = probs.size
     if n == 0:
         raise UseBoundsInstead("an empty spectrum has no counting denominator")
-    block = min(_SCAN_BLOCK, max(1, _SCAN_CELLS // n))
-    for start in range(n, m_cap + 1, block):
-        ms = np.arange(start, min(start + block, m_cap + 1))
-        counts = np.rint(probs[:, np.newaxis] * ms).astype(int)
-        gaps = np.max(np.abs(probs[:, np.newaxis] - counts / ms), axis=0)
-        hits = np.flatnonzero((counts.min(axis=0) >= 1)
-                              & (counts.sum(axis=0) == ms) & (gaps <= tolerance))
-        if hits.size:
-            return int(ms[hits[0]]), tuple(int(c) for c in counts[:, hits[0]])
+    width = max(1, _SCAN_CELLS // n)
+    for start in range(n, m_cap + 1, _SCAN_BLOCK):
+        ms = np.arange(start, min(start + _SCAN_BLOCK, m_cap + 1))
+        first = np.rint(probs[0] * ms).astype(int)
+        ms = ms[(first >= 1) & (np.abs(probs[0] - first / ms) <= tolerance)]
+        for part in (ms[i:i + width] for i in range(0, ms.size, width)):
+            counts = np.rint(probs[:, np.newaxis] * part).astype(int)
+            gaps = np.max(np.abs(probs[:, np.newaxis] - counts / part), axis=0)
+            fits = (counts.min(axis=0) >= 1) & (counts.sum(axis=0) == part)
+            hits = np.flatnonzero(fits & (gaps <= tolerance))
+            if hits.size:
+                return (int(part[hits[0]]),
+                        tuple(int(c) for c in counts[:, hits[0]]))
     raise UseBoundsInstead(
         f"no denominator <= {m_cap} approximates the spectrum within "
         f"{tolerance}"
@@ -264,7 +270,7 @@ def count_spectrum(probs, tolerance: float, m_cap: int,
     that accepts unequal ones raises UseBoundsInstead."""
     probs = np.asarray(probs, dtype=float).ravel()
     m, counts = find_commensurate_denominator(probs, tolerance, m_cap)
-    _check_counts(counts, probs, tolerance + 0.5 / m, env_dim)
+    _check_counts(counts, probs, tolerance, env_dim)
     terms = np.sqrt(probs / counts)
     if terms.max() - terms.min() > STATE_TOL:
         raise UseBoundsInstead(

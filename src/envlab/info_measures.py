@@ -27,10 +27,9 @@ from .tensor_core import (
 
 @dataclass(frozen=True)
 class RedundancyReport:
-    """Per-fragment mutual informations, their sum, and the ratio."""
+    """Per-fragment mutual informations, H(S), and their sum over H(S)."""
 
     per_fragment_mi: tuple[float, ...]
-    mi_sum: float
     system_entropy: float
     ratio: float
 
@@ -79,14 +78,13 @@ def _mutual_information(state: BranchState, system: tuple,
 
 def redundancy_report(state: BranchState, system,
                       fragments) -> RedundancyReport:
-    """Summed fragment MI and the redundancy ratio I_total / H(S)."""
+    """Each fragment's MI, H(S), and the redundancy ratio I_total / H(S)."""
     system, frag_sets = _disjoint(system, fragments)
     hs = _entropy(state, system)
     if hs <= KERNEL_TOL:
         raise UndefinedRatio("system entropy is zero; ratio undefined")
     mis = tuple(_mutual_information(state, system, f, hs) for f in frag_sets)
-    total = float(sum(mis))
-    return RedundancyReport(mis, total, hs, total / hs)
+    return RedundancyReport(mis, hs, float(sum(mis)) / hs)
 
 
 def basis_conditioned_mutual_information(

@@ -171,7 +171,7 @@ class BranchState:
     identity for S and for a perfect record.  Labels given one table
     object form a record class, with one copy of the table and one Gram
     matrix ``G[k, l] = <e^k|e^l>`` (unit diagonal set exactly), formed
-    when a kernel first needs it; ``grams`` stacks G_j in layout order.
+    when a kernel first needs it.
     A result a kernel computes is kept for the life of the state, keyed on
     how many labels of each class it traces out, never on label names.
     ``layout`` is the nominal space, so building it applies the dimension
@@ -218,12 +218,6 @@ class BranchState:
         g = np.array([r @ r.conj().T for r in self._tables])
         n = self.amplitudes.size
         g[:, np.arange(n), np.arange(n)] = 1.0
-        g.flags.writeable = False
-        return g
-
-    @cached_property
-    def grams(self) -> np.ndarray:
-        g = self._class_grams[self._classes]
         g.flags.writeable = False
         return g
 

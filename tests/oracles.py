@@ -234,15 +234,14 @@ def _dense_mutual_information(state, system, fragment, hs) -> float:
 
 def dense_redundancy_report(state: PureState, system,
                             fragments) -> RedundancyReport:
-    """Summed fragment MI and the redundancy ratio I_total / H(S)."""
+    """Each fragment's MI, H(S), and the redundancy ratio I_total / H(S)."""
     system, frag_sets = _disjoint(system, fragments)
     hs = _dense_entropy(state, system)
     if hs <= KERNEL_TOL:
         raise UndefinedRatio("system entropy is zero; ratio undefined")
     mis = tuple(_dense_mutual_information(state, system, f, hs)
                 for f in frag_sets)
-    total = float(sum(mis))
-    return RedundancyReport(mis, total, hs, total / hs)
+    return RedundancyReport(mis, hs, float(sum(mis)) / hs)
 
 
 def dense_basis_conditioned_mutual_information(state: PureState, system,

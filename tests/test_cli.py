@@ -93,7 +93,6 @@ class TestRedundancy:
         mis = report.per_fragment_mi
         assert rows == [[i, mi, cum, report.ratio] for i, (mi, cum)
                         in enumerate(zip(mis, itertools.accumulate(mis)))]
-        assert abs(rows[-1][2] - report.mi_sum) < 1e-12
 
 
 class TestBorn:
@@ -250,6 +249,22 @@ class TestBorn:
         assert "born" not in tables
         assert [r[0] for r in tables["bounds"]["rows"]] == \
             ["1000"] * 150 + ["10000"] * 150
+
+    def test_many_outcomes_scan_a_large_cap_quickly(self, capsys):
+        # 5,000 outcomes, no denominator up to 10^5: only the M that the
+        # first outcome fits reach the full rule, so the miss takes well
+        # under a second, and it prints what a scan with no candidate does
+        amps = ",".join(["1"] * 4999 + ["1.1"])
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "born", "--amplitudes", amps,
+                                 "--m-cap", "100000", "--bounds-m", "10000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        assert run_cli(capsys, "born", "--amplitudes", amps, "--m-cap", "1",
+                       "--bounds-m", "10000") == (0, out, "")
+        tables = parse_tables(out)
+        assert list(tables) == ["bounds"]
+        assert len(tables["bounds"]["rows"]) == 5000
 
     def test_no_default_bounds_past_the_largest(self, capsys):
         amps = np.random.default_rng(10001).uniform(0.1, 1.0, size=10001)
@@ -832,19 +847,15 @@ def test_each_distinct_branch_spectrum_is_computed_once(
     assert calls == {"density": densities, "eigvalsh": eigensolves}
 
 
-@pytest.mark.parametrize("argv, label_sets", [
-    # one label set per distinct spectrum
-    (("redundancy", "--amplitudes", "0.6,0.8", "--env-count", "200",
-      "--overlap", "0.3"), 3),
-    # H(S), then per basis the one average computed, with at most two
-    # label sets (those traced out, the fragment's order) resolved for it
-    (("cascade", "--amplitudes", "0.6,0.8", "--env-count", "50"), 5),
+@pytest.mark.parametrize("argv", [
+    ("redundancy", "--amplitudes", "0.6,0.8", "--env-count", "200",
+     "--overlap", "0.3"),
+    ("cascade", "--amplitudes", "0.6,0.8", "--env-count", "50"),
 ])
-def test_a_kept_result_resolves_no_label_set(capsys, monkeypatch, argv,
-                                            label_sets):
-    """Only a result computed for the first time may split the layout by
-    name (the branch kernels split none, as test_label_rule pins); every
-    later lookup of it resolves no label set."""
+def test_a_kept_result_resolves_no_label_set(capsys, monkeypatch, argv):
+    """No lookup splits the layout by name: neither the first computation
+    of a result (the branch kernels split none, as test_label_rule pins)
+    nor any later lookup of the kept result."""
     monkeypatch.setenv("ENVLAB_DIM_GUARD", str(10 ** 400))
     calls, real = [], tensor_core.SpaceLayout.split
 
@@ -855,7 +866,7 @@ def test_a_kept_result_resolves_no_label_set(capsys, monkeypatch, argv,
     monkeypatch.setattr(tensor_core.SpaceLayout, "split", counting)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert len(calls) <= label_sets
+    assert calls == []
 
 
 @pytest.mark.parametrize("modules, name, argv, env_counts", [

@@ -372,6 +372,26 @@ class TestCommensurate:
                 continue
             assert find_commensurate_denominator(probs, tol, 3000) == want
 
+    def test_matches_scalar_scan_on_a_seeded_grid(self):
+        # exact fractions, random spectra, and p_0 = 1/2 with the rest
+        # random, which outcome 0 alone fits at every even M
+        rng = np.random.default_rng(28)
+        for n in range(1, 7):
+            for tol in (1e-10, 1e-6, 1e-3, 0.5):
+                counts = rng.integers(1, 500, size=n)
+                rest = rng.dirichlet(np.ones(n))
+                for probs in (counts / counts.sum(), rest,
+                              np.append(0.5, rest[1:] / (2 * rest[1:].sum()))):
+                    cap = int(rng.choice([7, 1025, 6000]))
+                    try:
+                        want = scalar_commensurate_denominator(probs, tol, cap)
+                    except errors.UseBoundsInstead:
+                        with pytest.raises(errors.UseBoundsInstead):
+                            find_commensurate_denominator(probs, tol, cap)
+                        continue
+                    assert find_commensurate_denominator(probs, tol,
+                                                         cap) == want
+
     @pytest.mark.parametrize("m", [_SCAN_BLOCK + 1, _SCAN_BLOCK + 2,
                                    3 * _SCAN_BLOCK + 7])
     def test_hit_at_and_past_block_boundary(self, m):
@@ -382,13 +402,25 @@ class TestCommensurate:
         assert find_commensurate_denominator(probs, 1e-10) == want
 
     def test_many_outcomes_scan_narrower_blocks(self):
-        # 600 outcomes: blocks of 2^18 // 600 = 436 candidates, so the scan
-        # from M = 600 finds M = 1500 in its third block
+        # 600 outcomes: the full rule tests at most 2^18 // 600 = 436
+        # candidates per pass; outcome 0 (901/1500) leaves M = 1500 alone
+        # of the first block, M = 600 ... 1623
         counts = np.ones(600, dtype=int)
         counts[0] = 901
         probs = counts / counts.sum()
         want = scalar_commensurate_denominator(probs, 1e-10, 10 ** 4)
         assert want == (1500, tuple(counts))
+        assert find_commensurate_denominator(probs, 1e-10) == want
+
+    def test_hit_in_a_later_pass_of_one_block(self):
+        # 1000 outcomes, p_0 = 1/2: outcome 0 fits the 512 even M of the
+        # first block (1000 ... 2023), which the full rule tests in passes
+        # of 2^18 // 1000 = 262; M = 1998 is the 500th of them
+        counts = np.ones(1000, dtype=int)
+        counts[0] = 999
+        probs = counts / counts.sum()
+        want = scalar_commensurate_denominator(probs, 1e-10, 10 ** 4)
+        assert want == (1998, tuple(counts))
         assert find_commensurate_denominator(probs, 1e-10) == want
 
     def test_full_miss_at_large_cap(self):

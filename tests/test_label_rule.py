@@ -63,7 +63,7 @@ def _verdict(v):
 
 
 def _report(r):
-    return (r.per_fragment_mi, r.mi_sum, r.system_entropy, r.ratio)
+    return (r.per_fragment_mi, r.system_entropy, r.ratio)
 
 
 # each case takes ``w``, which passes a label either bare or in a list
