@@ -19,7 +19,6 @@ from .tensor_core import (
     reduced_spectrum,
     relative_states,
     schmidt_decompose,
-    schmidt_state,
     tensor_product,
 )
 from .info_measures import (

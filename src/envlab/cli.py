@@ -33,7 +33,7 @@ from .info_measures import (
     basis_conditioned_mutual_information,
     redundancy_report,
 )
-from .measurement_models import branch_records
+from .measurement_models import branch_records, build_branch_state
 from .tensor_core import (
     KERNEL_TOL,
     SubsystemUnitary,
@@ -42,7 +42,6 @@ from .tensor_core import (
     branch_density,
     dimension_guard,
     schmidt_decompose,
-    schmidt_state,
 )
 
 EXIT_VALIDATION = 2
@@ -207,7 +206,7 @@ def _run_born(cfg: ScenarioConfig) -> tuple[dict, dict]:
 
 def _run_envariance(cfg: ScenarioConfig) -> tuple[dict, dict]:
     amps = cfg.unit_amplitudes()
-    state = schmidt_state(amps, amps.size)
+    state = build_branch_state("S", amps, None, "E")
     sd = schmidt_decompose(state, "S")
     rng = np.random.default_rng(20040971)
     rows = []

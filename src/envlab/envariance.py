@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import (
     BadIndex,
+    InvalidDensity,
     LengthMismatch,
     MTooSmall,
     NotEqualAmplitude,
@@ -37,7 +38,7 @@ from .tensor_core import (
 DEFAULT_M_CAP = 10 ** 4
 COUNT_TOL = 1e-10        # default counting tolerance |p_k - m_k / M|
 ROUND_SLACK = 1e-9       # fine-graining counts and rational-bound rounding
-_SCAN_BLOCK = 1024       # denominator candidates outcome 0 filters per pass
+_SCAN_BLOCK = 1024       # denominator candidates the smallest outcome filters
 _SCAN_CELLS = 2 ** 18    # candidates x outcomes the full rule tests per pass
 
 
@@ -231,22 +232,31 @@ def fine_grain(state: PureState, counts, system, ancilla: str,
     return controlled_shift(joined, env_labels, ancilla)
 
 
+def _spectrum(probs) -> np.ndarray:
+    """Flat float probabilities, each finite and >= 0 (or InvalidDensity)."""
+    probs = np.asarray(probs, dtype=float).ravel()
+    if not np.all(np.isfinite(probs)) or np.any(probs < 0):
+        raise InvalidDensity("spectrum entries must be finite and >= 0")
+    return probs
+
+
 def find_commensurate_denominator(probs, tolerance: float,
                                   m_cap: int = DEFAULT_M_CAP):
     """Smallest M <= m_cap with all probs within tolerance of m_k / M and
     each m_k >= 1; returns (M, counts) or raises UseBoundsInstead.  A block
-    of candidates keeps those that outcome 0 fits, and the full rule then
-    tests them in passes of at most _SCAN_CELLS cells; each candidate gets
-    the float operations of a one-by-one scan."""
-    probs = np.asarray(probs, dtype=float).ravel()
+    of candidates keeps those that the smallest outcome (at most 1/n) fits,
+    and the full rule tests them in passes of at most _SCAN_CELLS cells,
+    with the float operations of a one-by-one scan."""
+    probs = _spectrum(probs)
     n = probs.size
     if n == 0:
         raise UseBoundsInstead("an empty spectrum has no counting denominator")
     width = max(1, _SCAN_CELLS // n)
+    low = probs.min()
     for start in range(n, m_cap + 1, _SCAN_BLOCK):
         ms = np.arange(start, min(start + _SCAN_BLOCK, m_cap + 1))
-        first = np.rint(probs[0] * ms).astype(int)
-        ms = ms[(first >= 1) & (np.abs(probs[0] - first / ms) <= tolerance)]
+        first = np.rint(low * ms).astype(int)
+        ms = ms[(first >= 1) & (np.abs(low - first / ms) <= tolerance)]
         for part in (ms[i:i + width] for i in range(0, ms.size, width)):
             counts = np.rint(probs[:, np.newaxis] * part).astype(int)
             gaps = np.max(np.abs(probs[:, np.newaxis] - counts / part), axis=0)
@@ -268,7 +278,7 @@ def count_spectrum(probs, tolerance: float, m_cap: int,
     it: the counts fit and ``env_dim`` holds M records.  Its M
     coefficients sqrt(p_k / m_k) must be equal within STATE_TOL; a scan
     that accepts unequal ones raises UseBoundsInstead."""
-    probs = np.asarray(probs, dtype=float).ravel()
+    probs = _spectrum(probs)
     m, counts = find_commensurate_denominator(probs, tolerance, m_cap)
     _check_counts(counts, probs, tolerance, env_dim)
     terms = np.sqrt(probs / counts)
@@ -283,7 +293,7 @@ def count_spectrum(probs, tolerance: float, m_cap: int,
 def present_outcomes(probs) -> np.ndarray:
     """Mask of the outcomes with a Schmidt term, amplitude above
     KERNEL_TOL: those that count against a bounding M."""
-    return np.sqrt(np.asarray(probs, dtype=float).ravel()) > KERNEL_TOL
+    return np.sqrt(_spectrum(probs)) > KERNEL_TOL
 
 
 def bound_spectrum(probs, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -293,7 +303,7 @@ def bound_spectrum(probs, m: int) -> tuple[np.ndarray, np.ndarray]:
     comparison state (the tests build them), so widths never exceed 2/M.
     An outcome of amplitude at most KERNEL_TOL has no Schmidt term: it
     gets [0, 0] and does not count against M."""
-    probs = np.asarray(probs, dtype=float).ravel()
+    probs = _spectrum(probs)
     present = present_outcomes(probs)
     n = int(np.count_nonzero(present))
     if m < n:

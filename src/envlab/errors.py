@@ -28,7 +28,7 @@ class NotNormalized(EnvLabError):
 
 
 class InvalidDensity(EnvLabError):
-    """Matrix is not Hermitian / positive / trace-one within tolerance."""
+    """Not a Hermitian / positive / trace-one matrix, or not a spectrum."""
 
 
 class NotUnitary(EnvLabError):

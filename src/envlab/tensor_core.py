@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     BadBasis,
-    DimensionMismatch,
     EmptyKeepSet,
     InvalidBipartition,
     InvalidDensity,
@@ -336,17 +335,6 @@ def basis_state(layout: SpaceLayout, indices) -> PureState:
     amps = np.zeros(layout.total_dimension, dtype=complex)
     amps[flat] = 1.0
     return PureState(layout, amps)
-
-
-def schmidt_state(amplitudes, env_dim: int) -> PureState:
-    """sum_k a_k |k>_S |k>_E over layout (S, E), with E of dimension
-    ``env_dim`` (at least the number of amplitudes)."""
-    amps = np.asarray(amplitudes, dtype=complex).ravel()
-    d = amps.size
-    if env_dim < d:
-        raise DimensionMismatch(f"environment dimension {env_dim} < {d}")
-    return BranchState(SpaceLayout([("S", d), ("E", env_dim)]), amps,
-                       [np.eye(d), np.eye(d, env_dim)]).dense()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ rational bounds.
 
 The dense-state helpers that no scenario of the ``envlab`` command
 reaches live here too, as the tests' reference: one-subsystem states,
+the (S, E) Schmidt state, whose environment may be wider than S,
 Schmidt reconstruction, equality up to global phase, the gates that
 pre-measure, entangle an environment and write an observer's record,
 the observer's conditional outcome table, subset probabilities, the
@@ -41,6 +42,7 @@ from envlab.envariance import (
 )
 from envlab.errors import (
     BadIndex,
+    DimensionMismatch,
     InvalidBipartition,
     LayoutMismatch,
     UndefinedRatio,
@@ -55,6 +57,7 @@ from envlab.measurement_models import _write_record, broadcast_environment
 from envlab.tensor_core import (
     KERNEL_TOL,
     STATE_TOL,
+    BranchState,
     PureState,
     SchmidtDecomposition,
     SpaceLayout,
@@ -77,6 +80,17 @@ def single_state(label: str, amplitudes) -> PureState:
     """One-subsystem state from a raw amplitude vector (normalized check)."""
     amps = np.asarray(amplitudes, dtype=complex).ravel()
     return PureState(SpaceLayout([(label, amps.size)]), amps)
+
+
+def schmidt_state(amplitudes, env_dim: int) -> PureState:
+    """sum_k a_k |k>_S |k>_E over layout (S, E), with E of dimension
+    ``env_dim`` (at least the number of amplitudes)."""
+    amps = np.asarray(amplitudes, dtype=complex).ravel()
+    d = amps.size
+    if env_dim < d:
+        raise DimensionMismatch(f"environment dimension {env_dim} < {d}")
+    return BranchState(SpaceLayout([("S", d), ("E", env_dim)]), amps,
+                       [np.eye(d), np.eye(d, env_dim)]).dense()
 
 
 def schmidt_reconstruct(sd: SchmidtDecomposition,

@@ -1,6 +1,6 @@
-import ast
 import contextlib
 import csv
+import hashlib
 import importlib
 import io
 import itertools
@@ -24,6 +24,7 @@ from oracles import (
     build_branch_state,
     dense_basis_conditioned_mutual_information,
 )
+from test_reachability import traced_table
 
 
 def run_cli(capsys, *argv):
@@ -203,7 +204,7 @@ class TestBorn:
             return scan(*args, **kwargs)
 
         monkeypatch.setattr(envariance, "schmidt_decompose", refuse)
-        monkeypatch.setattr(cli, "schmidt_state", refuse)
+        monkeypatch.setattr(cli, "build_branch_state", refuse)
         monkeypatch.setattr(envariance, "find_commensurate_denominator",
                             counted_scan)
         code, out, _ = run_cli(capsys, *argv)
@@ -252,7 +253,7 @@ class TestBorn:
 
     def test_many_outcomes_scan_a_large_cap_quickly(self, capsys):
         # 5,000 outcomes, no denominator up to 10^5: only the M that the
-        # first outcome fits reach the full rule, so the miss takes well
+        # smallest outcome fits reach the full rule, so the miss takes well
         # under a second, and it prints what a scan with no candidate does
         amps = ",".join(["1"] * 4999 + ["1.1"])
         start = time.perf_counter()
@@ -265,6 +266,21 @@ class TestBorn:
         tables = parse_tables(out)
         assert list(tables) == ["bounds"]
         assert len(tables["bounds"]["rows"]) == 5000
+
+    def test_a_commensurate_first_outcome_scans_a_large_cap_quickly(
+            self, capsys):
+        # p_0 = 1/2 exactly fits every even M, but the smallest of the 5,000
+        # outcomes fits about one candidate in 5,000, so the miss to 10^5
+        # takes well under a second; its stdout is pinned by digest
+        amps = ",".join(["70.70509175441327"] + ["1"] * 4998 + ["1.1"])
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "born", "--amplitudes", amps,
+                                 "--m-cap", "100000", "--bounds-m", "10000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ae8f9b89aeac8de217dedd3bdf56a466b01ed9d37e8bbe9b8592996c02f8643e")
+        assert list(parse_tables(out)) == ["bounds"]
 
     def test_no_default_bounds_past_the_largest(self, capsys):
         amps = np.random.default_rng(10001).uniform(0.1, 1.0, size=10001)
@@ -901,13 +917,8 @@ def test_a_kept_result_is_looked_up_without_numpy_work(
 
 def test_every_traced_name_resolves():
     """The benchmark's tracer wraps each name of its ``TRACED`` table,
-    found with getattr on ``envlab.<module>``; the table is read from the
-    source, so the benchmark is not imported."""
-    tracer = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
-    table = next(node.value for node in ast.parse(tracer.read_text()).body
-                 if isinstance(node, ast.Assign)
-                 and [t.id for t in node.targets] == ["TRACED"])
-    traced = ast.literal_eval(table)
+    found with getattr on ``envlab.<module>``."""
+    traced = traced_table()
     assert traced
     missing = [f"{module}.{name}" for module, names in traced.items()
                for name in names

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from envlab.envariance import (
     find_commensurate_denominator,
     fine_grain,
     is_envariant,
+    present_outcomes,
     rational_bounds,
     schmidt_phase_unitary,
     schmidt_probabilities,
@@ -27,7 +30,6 @@ from envlab.tensor_core import (
     apply_unitary,
     partial_trace,
     schmidt_decompose,
-    schmidt_state,
 )
 
 from oracles import (
@@ -36,6 +38,7 @@ from oracles import (
     enumerate_equal_terms,
     phase_sensitivity_witness,
     scalar_commensurate_denominator,
+    schmidt_state,
     single_state,
     states_equal_up_to_global_phase,
     subset_probability,
@@ -374,7 +377,7 @@ class TestCommensurate:
 
     def test_matches_scalar_scan_on_a_seeded_grid(self):
         # exact fractions, random spectra, and p_0 = 1/2 with the rest
-        # random, which outcome 0 alone fits at every even M
+        # random, which p_0 alone would fit at every even M
         rng = np.random.default_rng(28)
         for n in range(1, 7):
             for tol in (1e-10, 1e-6, 1e-3, 0.5):
@@ -403,8 +406,8 @@ class TestCommensurate:
 
     def test_many_outcomes_scan_narrower_blocks(self):
         # 600 outcomes: the full rule tests at most 2^18 // 600 = 436
-        # candidates per pass; outcome 0 (901/1500) leaves M = 1500 alone
-        # of the first block, M = 600 ... 1623
+        # candidates per pass; the smallest outcome (1/1500) leaves
+        # M = 1500 alone of the first block, M = 600 ... 1623
         counts = np.ones(600, dtype=int)
         counts[0] = 901
         probs = counts / counts.sum()
@@ -413,15 +416,16 @@ class TestCommensurate:
         assert find_commensurate_denominator(probs, 1e-10) == want
 
     def test_hit_in_a_later_pass_of_one_block(self):
-        # 1000 outcomes, p_0 = 1/2: outcome 0 fits the 512 even M of the
-        # first block (1000 ... 2023), which the full rule tests in passes
-        # of 2^18 // 1000 = 262; M = 1998 is the 500th of them
+        # 1000 outcomes, p_0 = 1/2: at tolerance 1e-4 the smallest outcome
+        # (1/1998) fits 358 M of the first block (1000 ... 2023), which the
+        # full rule tests in passes of 2^18 // 1000 = 262; M = 1998 is the
+        # 333rd of them
         counts = np.ones(1000, dtype=int)
         counts[0] = 999
         probs = counts / counts.sum()
-        want = scalar_commensurate_denominator(probs, 1e-10, 10 ** 4)
+        want = scalar_commensurate_denominator(probs, 1e-4, 10 ** 4)
         assert want == (1998, tuple(counts))
-        assert find_commensurate_denominator(probs, 1e-10) == want
+        assert find_commensurate_denominator(probs, 1e-4) == want
 
     def test_full_miss_at_large_cap(self):
         p = np.cos(1.0) ** 2
@@ -429,6 +433,22 @@ class TestCommensurate:
             scalar_commensurate_denominator([p, 1 - p], 1e-10, 10 ** 5)
         with pytest.raises(errors.UseBoundsInstead):
             find_commensurate_denominator([p, 1 - p], 1e-10, m_cap=10 ** 5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+@pytest.mark.parametrize("kernel", [
+    lambda p: find_commensurate_denominator(p, 1e-10, 100),
+    lambda p: count_spectrum(p, 1e-10, 100, 100),
+    present_outcomes,
+    lambda p: bound_spectrum(p, 10),
+], ids=["find_commensurate_denominator", "count_spectrum",
+        "present_outcomes", "bound_spectrum"])
+def test_counting_kernels_reject_a_spectrum_that_is_not_one(kernel, bad):
+    # refused before numpy computes with the entry: no warning is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.InvalidDensity):
+            kernel([0.5, bad])
 
 
 class TestBornProbabilities:

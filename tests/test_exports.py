@@ -15,9 +15,8 @@ EXPORTS = [
     "equal_amplitude_probabilities", "fine_grain", "is_envariant",
     "mutual_information", "partial_trace", "rational_bounds",
     "reduced_spectrum", "redundancy_report", "relative_states",
-    "schmidt_decompose", "schmidt_phase_unitary", "schmidt_state",
-    "schmidt_swap_unitary", "tensor_product", "trace_distance",
-    "von_neumann_entropy",
+    "schmidt_decompose", "schmidt_phase_unitary", "schmidt_swap_unitary",
+    "tensor_product", "trace_distance", "von_neumann_entropy",
 ]
 
 

@@ -16,7 +16,6 @@ from envlab.tensor_core import (
     partial_trace,
     relative_states,
     schmidt_decompose,
-    schmidt_state,
     tensor_product,
 )
 
@@ -27,6 +26,7 @@ from oracles import (
     partial_trace_oracle,
     save_state,
     schmidt_reconstruct,
+    schmidt_state,
     single_state,
     states_equal_up_to_global_phase,
 )
