@@ -231,6 +231,8 @@ def _run_cascade(cfg: ScenarioConfig) -> tuple[dict, dict]:
     amps = cfg.unit_amplitudes()
     d = amps.size
     _check_dimension([(d, 2 * cfg.env_count + 1)])
+    if cfg.env_count == 0:  # no fragment row: build no state
+        return {"cascade": []}, {"max_conjugate_mi": 0.0}
     immediate = [f"E{i + 1}" for i in range(cfg.env_count)]
     distant = [f"F{i + 1}" for i in range(cfg.env_count)]
     # perfect records: the c-shift from E_i copies its record onto F_i

@@ -70,21 +70,19 @@ def schmidt_phase_unitary(sd: SchmidtDecomposition,
         raise LengthMismatch(
             f"{phases.size} phases for {sd.rank} Schmidt terms"
         )
-    d = sd.left_basis.shape[0]
-    u = np.eye(d, dtype=complex)
-    for k in range(sd.rank):
-        v = sd.left_basis[:, k]
-        u += (np.exp(1j * phases[k]) - 1.0) * np.outer(v, v.conj())
-    return SubsystemUnitary(sd.left_labels, u)
+    return SubsystemUnitary(sd.left_labels, _in_basis(
+        sd.left_basis[:, : sd.rank], np.diag(np.exp(1j * phases) - 1.0)))
+
+
+def _in_basis(columns: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """I + V c V^H for orthonormal columns V: c changes their span and the
+    operator is the identity on its complement."""
+    return np.eye(len(columns), dtype=complex) + columns @ c @ columns.conj().T
 
 
 def _swap_matrix(basis: np.ndarray, k: int, l: int) -> np.ndarray:
     """Exchange basis columns k and l; identity on their complement."""
-    a, b = basis[:, k], basis[:, l]
-    m = np.eye(basis.shape[0], dtype=complex)
-    m += np.outer(a, b.conj()) + np.outer(b, a.conj())
-    m -= np.outer(a, a.conj()) + np.outer(b, b.conj())
-    return m
+    return _in_basis(basis[:, [k, l]], np.array([[-1.0, 1.0], [1.0, -1.0]]))
 
 
 def schmidt_swap_unitary(sd: SchmidtDecomposition, k: int,

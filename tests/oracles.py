@@ -12,7 +12,9 @@ rational bounds.
 The dense-state helpers that no scenario of the ``envlab`` command
 reaches live here too, as the tests' reference: one-subsystem states,
 the (S, E) Schmidt state, whose environment may be wider than S,
-Schmidt reconstruction, equality up to global phase, the gates that
+Schmidt reconstruction, the Schmidt phase unitary and the swap of two
+basis columns as sums of outer products (the library builds both as
+I + V c V^H), equality up to global phase, the gates that
 pre-measure, entangle an environment and write an observer's record,
 the observer's conditional outcome table, subset probabilities, the
 phase-sensitivity witness, the state files, and the information
@@ -101,6 +103,26 @@ def schmidt_reconstruct(sd: SchmidtDecomposition,
     arr = mat.reshape([layout.dim(l) for l in front])
     arr = np.moveaxis(arr, range(len(front)), [layout.index(l) for l in front])
     return PureState(layout, arr.ravel())
+
+
+def schmidt_phase_oracle(sd: SchmidtDecomposition, phases) -> np.ndarray:
+    """U = sum_k e^{i phi_k} |s_k><s_k| + identity on the complement, one
+    outer product per Schmidt term."""
+    u = np.eye(sd.left_basis.shape[0], dtype=complex)
+    for k in range(sd.rank):
+        v = sd.left_basis[:, k]
+        u += (np.exp(1j * phases[k]) - 1.0) * np.outer(v, v.conj())
+    return u
+
+
+def swap_matrix_oracle(basis: np.ndarray, k: int, l: int) -> np.ndarray:
+    """|b_k><b_l| + |b_l><b_k| + identity on the complement of columns k
+    and l, from four outer products."""
+    a, b = basis[:, k], basis[:, l]
+    m = np.eye(basis.shape[0], dtype=complex)
+    m += np.outer(a, b.conj()) + np.outer(b, a.conj())
+    m -= np.outer(a, a.conj()) + np.outer(b, b.conj())
+    return m
 
 
 def states_equal_up_to_global_phase(a: PureState, b: PureState,

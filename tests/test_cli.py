@@ -370,6 +370,29 @@ class TestCascade:
                 "error": "dimension_guard",
                 "detail": f"total dimension {dim} exceeds guard {2 ** 20}"}
 
+    @pytest.mark.parametrize("d, code", [(2 ** 20, 0), (2 ** 20 + 1, 3)])
+    def test_no_environment_builds_no_state(self, capsys, monkeypatch,
+                                            tmp_path, d, code):
+        # at N = 0 the guard checks d^(2N+1) = d, so it admits 2^20
+        # amplitudes; the empty table needs none of the d x d tables
+        monkeypatch.delenv("ENVLAB_DIM_GUARD", raising=False)
+        cfg = tmp_path / "cfg.json"
+        amps = np.random.default_rng(37).normal(size=d)
+        cfg.write_text(json.dumps({"amplitudes": amps.tolist(),
+                                   "env_count": 0}))
+        start = time.perf_counter()
+        got, out, err = run_cli(capsys, "cascade", "--config", str(cfg))
+        assert time.perf_counter() - start < 2.0
+        assert got == code
+        if code == 0:
+            assert out == ("table,cascade\nfragment_index,"
+                           "pointer_basis_mi_bits,conjugate_basis_mi_bits\n")
+            assert err == ""
+        else:
+            assert json.loads(err) == {
+                "error": "dimension_guard",
+                "detail": f"total dimension {d} exceeds guard {2 ** 20}"}
+
 
 # malformed command lines: (argv, field, pattern of its message); later
 # Pythons word the list of choices differently

@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from envlab.envariance import (
 from envlab.tensor_core import (
     KERNEL_TOL,
     PureState,
+    SchmidtDecomposition,
     SpaceLayout,
     SubsystemUnitary,
     apply_unitary,
@@ -38,10 +40,12 @@ from oracles import (
     enumerate_equal_terms,
     phase_sensitivity_witness,
     scalar_commensurate_denominator,
+    schmidt_phase_oracle,
     schmidt_state,
     single_state,
     states_equal_up_to_global_phase,
     subset_probability,
+    swap_matrix_oracle,
 )
 
 
@@ -270,6 +274,48 @@ class TestEnvariantSwap:
         sd = schmidt_decompose(bell(), ["S"])
         with pytest.raises(errors.BadIndex):
             schmidt_swap_unitary(sd, k, l)
+
+
+class TestSchmidtUnitariesMatchOracle:
+    """The phase unitary, the system swap and the environment counter-swap
+    against their outer-product sums in ``oracles``."""
+
+    def test_seeded_decompositions(self):
+        rng = np.random.default_rng(38)
+        for _ in range(60):
+            d_s, d_e = (int(x) for x in rng.integers(2, 17, size=2))
+            rank = int(rng.integers(1, min(d_s, d_e) + 1))
+            st, _ = schmidt_form_state(rng.uniform(0.1, 1.0, rank), d_s, d_e,
+                                       rng)
+            sd = schmidt_decompose(st, ["S"])
+            assert sd.rank == rank
+            phases = rng.uniform(-np.pi, np.pi, rank)
+            np.testing.assert_allclose(
+                schmidt_phase_unitary(sd, phases).matrix,
+                schmidt_phase_oracle(sd, phases), rtol=0, atol=1e-12)
+            for k, l in rng.integers(0, rank, size=(3, 2)):
+                np.testing.assert_allclose(
+                    schmidt_swap_unitary(sd, k, l).matrix,
+                    swap_matrix_oracle(sd.left_basis, k, l),
+                    rtol=0, atol=1e-12)
+                _, counter = envariant_swap(st, k, l, sd)
+                np.testing.assert_allclose(
+                    counter.matrix, swap_matrix_oracle(sd.right_basis, k, l),
+                    rtol=0, atol=1e-12)
+
+    def test_phase_unitary_at_the_guard_is_quick(self):
+        # d = 1024 is the largest envariance input the default guard admits
+        # (d^2 = 2^20); the basis is a QR of a seeded complex Gaussian
+        d = 1024
+        q = random_unitary(np.random.default_rng(20040971), d)
+        sd = SchmidtDecomposition(("S",), ("E",), np.full(d, d ** -0.5), q,
+                                  q.conj())
+        phases = np.pi * (1.0 + np.arange(d)) / d
+        start = time.perf_counter()
+        u = schmidt_phase_unitary(sd, phases)
+        assert time.perf_counter() - start < 1.0
+        np.testing.assert_allclose(u.matrix @ q, q * np.exp(1j * phases),
+                                   rtol=0, atol=1e-10)
 
 
 class TestEqualAmplitudes:
