@@ -89,12 +89,16 @@ class ScenarioConfig:
             bad["overlap"] = f"overlap {self.overlap} outside [0, 1]"
         if self.m_cap < 1:
             bad["m_cap"] = "denominator cap must be >= 1"
-        elif self.m_cap > 10 ** 7:  # ~13 ns per candidate, few outcomes
+        elif self.m_cap > 10 ** 7:
             bad["m_cap"] = "denominator cap must be <= 10^7"
         if not np.isfinite(self.tolerance):
             bad["tolerance"] = "tolerance must be finite"
         elif self.tolerance <= 0:
             bad["tolerance"] = "tolerance must be positive"
+        elif self.tolerance * self.m_cap > 0.1:
+            # each outcome keeps at most a fifth of the scanned M; past
+            # M = 1/(2 tolerance) it keeps them all
+            bad["tolerance"] = "tolerance x m_cap must be <= 0.1"
         if any(m < 1 for m in self.bounds_m):
             bad["bounds_m"] = "bounding denominators must be >= 1"
         elif max(self.bounds_m, default=0) > 2 ** 53:  # p*M and counts exact

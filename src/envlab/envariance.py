@@ -38,8 +38,7 @@ from .tensor_core import (
 DEFAULT_M_CAP = 10 ** 4
 COUNT_TOL = 1e-10        # default counting tolerance |p_k - m_k / M|
 ROUND_SLACK = 1e-9       # fine-graining counts and rational-bound rounding
-_SCAN_BLOCK = 1024       # denominator candidates the smallest outcome filters
-_SCAN_CELLS = 2 ** 18    # candidates x outcomes the full rule tests per pass
+_SCAN_BLOCK = 1024       # denominator candidates narrowed per step
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,32 +240,36 @@ def _spectrum(probs) -> np.ndarray:
 def find_commensurate_denominator(probs, tolerance: float,
                                   m_cap: int = DEFAULT_M_CAP):
     """Smallest M <= m_cap with all probs within tolerance of m_k / M and
-    each m_k >= 1; returns (M, counts) or raises UseBoundsInstead.  A block
-    of candidates keeps those that the smallest outcome (at most 1/n) fits,
-    and the full rule tests them in passes of at most _SCAN_CELLS cells,
-    with the float operations of a one-by-one scan."""
-    probs = _spectrum(probs)
-    n = probs.size
-    if n == 0:
+    each m_k >= 1, as (M, counts), else UseBoundsInstead.  Each distinct
+    value narrows a block of candidates M and adds to their count sums."""
+    def fit(p, m):      # rint(p M), and where it is >= 1 and fits p
+        counts = np.rint(p * m).astype(int)
+        return counts, (counts >= 1) & (np.abs(p - counts / m) <= tolerance)
+    if not (probs := _spectrum(probs)).size:
         raise UseBoundsInstead("an empty spectrum has no counting denominator")
-    width = max(1, _SCAN_CELLS // n)
-    low = probs.min()
-    for start in range(n, m_cap + 1, _SCAN_BLOCK):
+    values, repeats = np.unique(probs, return_counts=True)
+    # the smallest first, then far apart: neighbours' p M move together
+    spread = np.argsort(np.arange(values.size) * 0.6180339887498949 % 1)
+    values, repeats = values[spread], repeats[spread]
+    for start in range(probs.size, m_cap + 1, _SCAN_BLOCK):
         ms = np.arange(start, min(start + _SCAN_BLOCK, m_cap + 1))
-        first = np.rint(low * ms).astype(int)
-        ms = ms[(first >= 1) & (np.abs(low - first / ms) <= tolerance)]
-        for part in (ms[i:i + width] for i in range(0, ms.size, width)):
-            counts = np.rint(probs[:, np.newaxis] * part).astype(int)
-            gaps = np.max(np.abs(probs[:, np.newaxis] - counts / part), axis=0)
-            fits = (counts.min(axis=0) >= 1) & (counts.sum(axis=0) == part)
-            hits = np.flatnonzero(fits & (gaps <= tolerance))
-            if hits.size:
-                return (int(part[hits[0]]),
-                        tuple(int(c) for c in counts[:, hits[0]]))
-    raise UseBoundsInstead(
-        f"no denominator <= {m_cap} approximates the spectrum within "
-        f"{tolerance}"
-    )
+        sums, stalled = 0, False
+        for p, r in zip(values, repeats):
+            counts, keep = fit(p, ms)
+            if not stalled and keep.all():      # test the smallest M whole
+                stalled, (low, fits) = True, fit(values, ms[0])
+                if fits.all() and repeats @ low == ms[0]:
+                    ms = sums = ms[:1]
+                    break
+                keep[0] = False
+            ms, sums = ms[keep], (sums + r * counts)[keep]
+            if not ms.size:
+                break
+        hits = ms[sums == ms]
+        if hits.size:
+            return int(hits[0]), tuple(int(c) for c in fit(probs, hits[0])[0])
+    raise UseBoundsInstead(f"no denominator <= {m_cap} approximates the "
+                           f"spectrum within {tolerance}")
 
 
 def count_spectrum(probs, tolerance: float, m_cap: int,

@@ -489,7 +489,7 @@ class TestPlumbing:
     @pytest.mark.parametrize("kind, n, code, limit_mib", [
         # the guard rejects d = 2000 before the d x d record kets are built
         ("einselect", 2000, 3, 1),
-        # the denominator scan holds n x 52 cells, not n x 1024, per pass
+        # the denominator scan holds one block of candidates per step
         ("born", 5000, 0, 16),
     ])
     def test_peak_memory_of_many_amplitudes(self, capsys, kind, n, code,
@@ -589,6 +589,25 @@ class TestPlumbing:
         code, _, _ = run_cli(capsys, "born", "--amplitudes", "1,1",
                              "--m-cap", str(10 ** 7))
         assert code == 0
+
+    @pytest.mark.parametrize("tolerance, m_cap, code", [
+        ("1e-8", 10 ** 7, 0),
+        ("1.0000001e-8", 10 ** 7, 2),
+        ("1e-5", 10 ** 4, 0),
+        ("1e-5", 10 ** 4 + 1, 2),
+    ])
+    def test_tolerance_times_cap_is_bounded(self, capsys, tolerance, m_cap,
+                                            code):
+        # past tolerance x m_cap = 0.1 an outcome keeps over a fifth of
+        # the scanned M, and past 1/2 every one of them
+        got, out, err = run_cli(capsys, "born", "--amplitudes",
+                                "0.54030231,0.84147098", "--tolerance",
+                                tolerance, "--m-cap", str(m_cap))
+        assert got == code
+        if code:
+            assert out == ""
+            assert json.loads(err)["fields"] == {
+                "tolerance": "tolerance x m_cap must be <= 0.1"}
 
     def test_largest_bounds_denominator(self, capsys):
         code, out, _ = run_cli(capsys, "born", "--amplitudes", "0.6,0.8",

@@ -424,6 +424,15 @@ class TestCommensurate:
     def test_matches_scalar_scan_on_a_seeded_grid(self):
         # exact fractions, random spectra, and p_0 = 1/2 with the rest
         # random, which p_0 alone would fit at every even M
+        def agree(probs, tol, cap):
+            try:
+                want = scalar_commensurate_denominator(probs, tol, cap)
+            except errors.UseBoundsInstead:
+                with pytest.raises(errors.UseBoundsInstead):
+                    find_commensurate_denominator(probs, tol, cap)
+                return
+            assert find_commensurate_denominator(probs, tol, cap) == want
+
         rng = np.random.default_rng(28)
         for n in range(1, 7):
             for tol in (1e-10, 1e-6, 1e-3, 0.5):
@@ -431,15 +440,17 @@ class TestCommensurate:
                 rest = rng.dirichlet(np.ones(n))
                 for probs in (counts / counts.sum(), rest,
                               np.append(0.5, rest[1:] / (2 * rest[1:].sum()))):
-                    cap = int(rng.choice([7, 1025, 6000]))
-                    try:
-                        want = scalar_commensurate_denominator(probs, tol, cap)
-                    except errors.UseBoundsInstead:
-                        with pytest.raises(errors.UseBoundsInstead):
-                            find_commensurate_denominator(probs, tol, cap)
-                        continue
-                    assert find_commensurate_denominator(probs, tol,
-                                                         cap) == want
+                    agree(probs, tol, int(rng.choice([7, 1025, 6000])))
+        # many equal outcomes and a few others: one distinct value, its
+        # multiplicity in the count sums, then the others
+        for n in range(1, 7):
+            for tol in (1e-10, 1e-6, 1e-3, 0.5):
+                equal = int(rng.integers(10, 60))
+                counts = np.append(np.ones(equal), rng.integers(1, 50, size=n))
+                for probs in (counts / counts.sum(),
+                              np.append(np.full(equal, 0.6 / equal),
+                                        0.4 * rng.dirichlet(np.ones(n)))):
+                    agree(probs, tol, int(rng.choice([7, 1025, 6000])))
 
     @pytest.mark.parametrize("m", [_SCAN_BLOCK + 1, _SCAN_BLOCK + 2,
                                    3 * _SCAN_BLOCK + 7])
@@ -451,9 +462,9 @@ class TestCommensurate:
         assert find_commensurate_denominator(probs, 1e-10) == want
 
     def test_many_outcomes_scan_narrower_blocks(self):
-        # 600 outcomes: the full rule tests at most 2^18 // 600 = 436
-        # candidates per pass; the smallest outcome (1/1500) leaves
-        # M = 1500 alone of the first block, M = 600 ... 1623
+        # 600 outcomes, two distinct values: the smaller (1/1500) leaves
+        # M = 1500 alone of the first block, M = 600 ... 1623, and the
+        # larger (901/1500) keeps it
         counts = np.ones(600, dtype=int)
         counts[0] = 901
         probs = counts / counts.sum()
@@ -462,16 +473,47 @@ class TestCommensurate:
         assert find_commensurate_denominator(probs, 1e-10) == want
 
     def test_hit_in_a_later_pass_of_one_block(self):
-        # 1000 outcomes, p_0 = 1/2: at tolerance 1e-4 the smallest outcome
-        # (1/1998) fits 358 M of the first block (1000 ... 2023), which the
-        # full rule tests in passes of 2^18 // 1000 = 262; M = 1998 is the
-        # 333rd of them
+        # 1000 outcomes, p_0 = 1/2: at tolerance 1e-4 the smaller value
+        # (1/1998) fits 358 M of the first block (1000 ... 2023), and
+        # M = 1998, the 333rd of them, is the first the whole rule fits
         counts = np.ones(1000, dtype=int)
         counts[0] = 999
         probs = counts / counts.sum()
         want = scalar_commensurate_denominator(probs, 1e-4, 10 ** 4)
         assert want == (1998, tuple(counts))
         assert find_commensurate_denominator(probs, 1e-4) == want
+
+    @staticmethod
+    def many_outcomes(kind):
+        """10^5 outcomes (seed 7): amplitudes 1 + 10^-3 N(0, 1), or
+        probabilities uniform on [0.5, 1.5]."""
+        rng = np.random.default_rng(7)
+        if kind == "near-equal":
+            amps = 1 + 1e-3 * rng.normal(size=10 ** 5)
+            return amps ** 2 / (amps ** 2).sum()
+        probs = rng.uniform(0.5, 1.5, size=10 ** 5)
+        return probs / probs.sum()
+
+    @pytest.mark.parametrize("kind, tol, cap", [
+        ("near-equal", 1e-10, 3 * 10 ** 6),
+        ("near-equal", 1e-10, 10 ** 7),
+        ("uniform", 1e-10, 3 * 10 ** 6),
+    ])
+    def test_many_outcomes_miss_quickly(self, kind, tol, cap):
+        probs = self.many_outcomes(kind)
+        start = time.perf_counter()
+        with pytest.raises(errors.UseBoundsInstead):
+            find_commensurate_denominator(probs, tol, cap)
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_block_that_no_value_narrows(self):
+        # at tolerance 1e-6 every M of the first block, 10^5 ... 101023,
+        # fits every value: the smallest M, tested whole, is the answer
+        probs = self.many_outcomes("near-equal")
+        start = time.perf_counter()
+        got = find_commensurate_denominator(probs, 1e-6, 10 ** 7)
+        assert time.perf_counter() - start < 1.0
+        assert got == (10 ** 5, (1,) * 10 ** 5)
 
     def test_full_miss_at_large_cap(self):
         p = np.cos(1.0) ** 2
