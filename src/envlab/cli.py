@@ -165,7 +165,10 @@ def _run_redundancy(cfg: ScenarioConfig) -> tuple[dict, dict]:
     _check_dimension([(amps.size, cfg.env_count + 2)])  # before N labels
     envs = [f"E{i + 1}" for i in range(cfg.env_count)]
     state = branch_records("S", amps, "A", envs, cfg.overlap)
-    report = redundancy_report(state, "S", envs)
+    try:
+        report = redundancy_report(state, "S", envs)
+    except errors.UndefinedRatio as exc:    # one outcome holds all weight
+        raise ValidationFailure({"amplitudes": str(exc)}) from None
     rows, cum = [], 0.0
     for i, mi in enumerate(report.per_fragment_mi):
         cum += mi
@@ -223,7 +226,7 @@ def _run_envariance(cfg: ScenarioConfig) -> tuple[dict, dict]:
     tests.append(("random_system_unitary",
                   SubsystemUnitary("S", np.linalg.qr(gauss)[0])))
     for name, u in tests:
-        verdict = is_envariant(state, u, "E")
+        verdict = is_envariant(state, u, sd)
         rows.append([name, int(verdict.envariant), verdict.residual,
                      verdict.witness_trace_distance])
     residuals = {"max_true_residual": max(

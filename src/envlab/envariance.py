@@ -101,23 +101,21 @@ def _complement_basis(cols: np.ndarray, dim: int) -> np.ndarray:
 
 
 def is_envariant(state: PureState, u: SubsystemUnitary,
-                 environment_side) -> EnvarianceVerdict:
-    """Decide envariance of ``u`` and construct a verified undo.
+                 sd: SchmidtDecomposition) -> EnvarianceVerdict:
+    """Decide envariance of ``u`` and construct a verified undo; ``sd`` is
+    the state's Schmidt decomposition, system left and environment right.
 
-    Decision rule: if the reduced operator on the non-environment side
-    changes beyond STATE_TOL entrywise, no environment action can restore the
-    state (verdict false, trace-distance witness recorded).  Otherwise
-    the undo is the counter-rotation on the state's own Schmidt partners,
-    verified to restore the global state up to global phase.
+    If the reduced system operator changes beyond STATE_TOL entrywise, no
+    environment action can restore the state (verdict false, trace-distance
+    witness recorded).  Otherwise the undo is the counter-rotation on the
+    Schmidt partners, verified to restore the state up to global phase.
     """
-    env_labels, sys_labels = state.layout.split(environment_side)
-    if set(u.targets) & set(env_labels):
+    if set(u.targets) & set(sd.right_labels):
         raise SideViolation(
-            f"unitary targets {u.targets} overlap environment side"
-        )
+            f"unitary targets {u.targets} overlap environment side")
     after = apply_unitary(state, u)
-    m_before = matricize(state, sys_labels)
-    m_after = matricize(after, sys_labels)
+    m_before = matricize(state, sd.left_labels)
+    m_after = matricize(after, sd.left_labels)
     gap = m_before @ m_before.conj().T - m_after @ m_after.conj().T
     witness = float(0.5 * np.abs(np.linalg.eigvalsh(gap)).sum())
     if np.max(np.abs(gap)) > STATE_TOL:
@@ -128,11 +126,11 @@ def is_envariant(state: PureState, u: SubsystemUnitary,
     # psi = A C R^T, and U A = A W with W commuting with C, so
     # A^+ M' R^* = W C: its unitary polar factor is W, found without
     # dividing by C, and X R = R W^* undoes U on the environment
-    sd = schmidt_decompose(state, sys_labels)
     a, r = sd.left_basis[:, : sd.rank], sd.right_basis[:, : sd.rank]
     p, _, vh = np.linalg.svd(a.conj().T @ m_after @ r.conj())
     x = r @ (p @ vh).conj() @ r.conj().T
-    undo = SubsystemUnitary(env_labels, x + np.eye(len(x)) - r @ r.conj().T)
+    undo = SubsystemUnitary(sd.right_labels,
+                            x + np.eye(len(x)) - r @ r.conj().T)
     restored = apply_unitary(after, undo)
     residual = global_phase_distance(restored, state)
     if residual >= STATE_TOL:
@@ -256,9 +254,11 @@ def find_commensurate_denominator(probs, tolerance: float,
         sums, stalled = 0, False
         for p, r in zip(values, repeats):
             counts, keep = fit(p, ms)
-            if not stalled and keep.all():      # test the smallest M whole
-                stalled, (low, fits) = True, fit(values, ms[0])
-                if fits.all() and repeats @ low == ms[0]:
+            if not stalled and keep.all():      # test the smallest M whole,
+                stalled = True                  # 64 values at a time
+                if all(fit(values[i:i + 64], ms[0])[1].all()
+                       for i in range(0, values.size, 64)) \
+                        and repeats @ fit(values, ms[0])[0] == ms[0]:
                     ms = sums = ms[:1]
                     break
                 keep[0] = False

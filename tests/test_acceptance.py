@@ -163,11 +163,11 @@ def test_criterion_5_envariance_soundness_and_necessity():
         u_phase = schmidt_phase_unitary(
             sd, rng.uniform(-np.pi, np.pi, sd.rank))
         verdict = is_envariant(st, SubsystemUnitary(("S",), u_phase.matrix),
-                               ["E"])
+                               sd)
         ok &= verdict.envariant and verdict.residual < 1e-10
 
         verdict = is_envariant(
-            st, SubsystemUnitary(("S",), random_unitary(rng, dl)), ["E"])
+            st, SubsystemUnitary(("S",), random_unitary(rng, dl)), sd)
         if verdict.envariant:
             ok &= verdict.residual < 1e-10
         else:

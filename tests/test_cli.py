@@ -95,6 +95,17 @@ class TestRedundancy:
         assert rows == [[i, mi, cum, report.ratio] for i, (mi, cum)
                         in enumerate(zip(mis, itertools.accumulate(mis)))]
 
+    @pytest.mark.parametrize("amps, env_count", [
+        ("1,0", "8"), ("1,1e-7", "8"), ("1,0", "0")])
+    def test_zero_system_entropy(self, capsys, amps, env_count):
+        # one outcome holds all the weight (1e-7 is below KERNEL_TOL's
+        # entropy): the ratio I_total / H(S) is undefined
+        code, out, err = run_cli(capsys, "redundancy", "--amplitudes", amps,
+                                 "--env-count", env_count)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "validation", "fields": {
+            "amplitudes": "system entropy is zero; ratio undefined"}}
+
 
 class TestBorn:
     def test_commensurate_table(self, capsys):
@@ -311,6 +322,28 @@ class TestEnvariance:
         assert int(verdicts["random_system_unitary"][1]) == 0
         assert float(verdicts["random_system_unitary"][3]) > 1e-10
 
+    @pytest.mark.parametrize("amps, svds", [
+        # the scenario's decomposition, and the polar factor of the one
+        # true verdict, the Schmidt phase
+        (np.random.default_rng(64).normal(size=64), 2),
+        # every unitary is envariant for equal amplitudes: three polar
+        # factors
+        (np.ones(64), 4),
+    ], ids=["random", "equal"])
+    def test_the_state_is_decomposed_once(self, capsys, monkeypatch, amps,
+                                          svds):
+        svd, shapes = np.linalg.svd, []
+
+        def recorded_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+        code, _, _ = run_cli(capsys, "envariance", "--amplitudes=" + ",".join(
+            map(str, amps.tolist())))
+        assert code == 0
+        assert shapes.count((64, 64)) == svds
+
 
 class TestCascade:
     def test_pointer_vs_conjugate(self, capsys):
@@ -466,13 +499,18 @@ class TestPlumbing:
         pops = [float(r[1]) for r in parse_tables(out)["einselect"]["rows"]]
         np.testing.assert_allclose(pops, [0.36, 0.64], atol=1e-9)
 
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
-    def test_non_finite_tolerance(self, capsys, tol):
+    @pytest.mark.parametrize("tol, message", [
+        ("nan", "tolerance must be finite"),
+        ("inf", "tolerance must be finite"),
+        ("0", "tolerance must be positive"),
+        ("-1e-10", "tolerance must be positive"),
+    ], ids=["nan", "inf", "0", "-1e-10"])
+    def test_non_finite_tolerance(self, capsys, tol, message):
+        # one token, as a value that starts with a minus sign must be
         code, _, err = run_cli(
-            capsys, "born", "--amplitudes", "1,1", "--tolerance", tol)
+            capsys, "born", "--amplitudes", "1,1", f"--tolerance={tol}")
         assert code == 2
-        assert json.loads(err)["fields"] == {
-            "tolerance": "tolerance must be finite"}
+        assert json.loads(err)["fields"] == {"tolerance": message}
 
     def test_non_finite_config_amplitudes(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -589,6 +627,11 @@ class TestPlumbing:
         code, _, _ = run_cli(capsys, "born", "--amplitudes", "1,1",
                              "--m-cap", str(10 ** 7))
         assert code == 0
+        code, out, err = run_cli(capsys, "born", "--amplitudes", "1,1",
+                                 "--m-cap", "0")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["fields"] == {
+            "m_cap": "denominator cap must be >= 1"}
 
     @pytest.mark.parametrize("tolerance, m_cap, code", [
         ("1e-8", 10 ** 7, 0),

@@ -80,7 +80,7 @@ class TestSchmidtPhaseUnitary:
         st = bipartite(rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)))
         sd = schmidt_decompose(st, ["S"])
         u = schmidt_phase_unitary(sd, [0.3, -1.1, 2.0])
-        verdict = is_envariant(st, SubsystemUnitary(("S",), u.matrix), ["E"])
+        verdict = is_envariant(st, SubsystemUnitary(("S",), u.matrix), sd)
         assert verdict.envariant
         assert verdict.residual < 1e-10
 
@@ -94,7 +94,7 @@ class TestSchmidtPhaseUnitary:
         u = schmidt_phase_unitary(sd, [0.0, np.pi])
         flipped = apply_unitary(bell(), SubsystemUnitary(("S",), u.matrix))
         verdict = is_envariant(bell(), SubsystemUnitary(("S",), u.matrix),
-                               ["E"])
+                               sd)
         assert verdict.envariant
         undone = apply_unitary(flipped, verdict.undo)
         assert states_equal_up_to_global_phase(undone, bell(), 1e-10)
@@ -115,7 +115,7 @@ class TestIsEnvariant:
             sd = schmidt_decompose(st, ["S"])
             u = schmidt_phase_unitary(sd, rng.uniform(-np.pi, np.pi, sd.rank))
             verdict = is_envariant(st, SubsystemUnitary(("S",), u.matrix),
-                                   ["E"])
+                                   sd)
             assert verdict.envariant and verdict.residual < 1e-10
             moved = apply_unitary(st, SubsystemUnitary(("S",), u.matrix))
             restored = apply_unitary(moved, verdict.undo)
@@ -128,7 +128,8 @@ class TestIsEnvariant:
             st = bipartite(rng.normal(size=(3, 3))
                            + 1j * rng.normal(size=(3, 3)))
             u = random_unitary(rng, 3)
-            verdict = is_envariant(st, SubsystemUnitary(("S",), u), ["E"])
+            verdict = is_envariant(st, SubsystemUnitary(("S",), u),
+                                   schmidt_decompose(st, ["S"]))
             if not verdict.envariant:
                 hits += 1
                 assert verdict.witness_trace_distance > 1e-10
@@ -139,12 +140,29 @@ class TestIsEnvariant:
         rng = np.random.default_rng(34)
         for _ in range(10):
             u = random_unitary(rng, 2)
-            verdict = is_envariant(bell(), SubsystemUnitary(("S",), u), ["E"])
+            verdict = is_envariant(bell(), SubsystemUnitary(("S",), u),
+                                   schmidt_decompose(bell(), ["S"]))
             assert verdict.envariant and verdict.residual < 1e-10
 
     def test_environment_unitary_rejected(self):
         with pytest.raises(errors.SideViolation):
-            is_envariant(bell(), SubsystemUnitary(("E",), np.eye(2)), ["E"])
+            is_envariant(bell(), SubsystemUnitary(("E",), np.eye(2)),
+                         schmidt_decompose(bell(), ["S"]))
+
+    def test_another_states_decomposition_gives_no_undo(self):
+        # U is envariant for the state, but the undo built from another
+        # state's Schmidt partners fails its verification
+        rng = np.random.default_rng(37)
+        st, other = (bipartite(rng.normal(size=(3, 4))
+                               + 1j * rng.normal(size=(3, 4)))
+                     for _ in range(2))
+        sd = schmidt_decompose(st, ["S"])
+        u = schmidt_phase_unitary(sd, [0.3, 1.2, -0.7])
+        assert is_envariant(st, u, sd).envariant
+        verdict = is_envariant(st, u, schmidt_decompose(other, ["S"]))
+        assert not verdict.envariant and verdict.undo is None
+        assert verdict.reason == "undo construction failed to restore the state"
+        assert verdict.residual > 0.1
 
 
 def schmidt_form_state(coeffs, d_s, d_e, rng):
@@ -160,7 +178,7 @@ def schmidt_form_state(coeffs, d_s, d_e, rng):
 
 
 def assert_undone(st, u):
-    verdict = is_envariant(st, u, ["E"])
+    verdict = is_envariant(st, u, schmidt_decompose(st, ["S"]))
     assert verdict.envariant, verdict.reason
     assert verdict.residual < 1e-10
     restored = apply_unitary(apply_unitary(st, u), verdict.undo)
@@ -215,11 +233,12 @@ class TestVerifiedUndo:
         assert_undone(st, schmidt_phase_unitary(sd, [0.4, -2.1, 1.3]))
 
     def test_one_state_size_decomposition(self, monkeypatch):
-        # the state is decomposed once; U|psi> is never decomposed
+        # the caller decomposes the state once; the verdict decomposes
+        # neither it nor U|psi>, and its one SVD is the r x r polar factor
         rng = np.random.default_rng(36)
         st, _ = schmidt_form_state([0.8, 0.5, 0.3], 3, 4, rng)
-        u = schmidt_phase_unitary(schmidt_decompose(st, ["S"]),
-                                  [0.3, 1.2, -0.7])
+        sd = schmidt_decompose(st, ["S"])
+        u = schmidt_phase_unitary(sd, [0.3, 1.2, -0.7])
         svd, shapes = np.linalg.svd, []
 
         def recorded_svd(a, *args, **kwargs):
@@ -227,8 +246,8 @@ class TestVerifiedUndo:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", recorded_svd)
-        assert is_envariant(st, u, ["E"]).envariant
-        assert shapes.count((3, 4)) == 1
+        assert is_envariant(st, u, sd).envariant
+        assert shapes == [(3, 3)]
 
 
 class TestEnvariantSwap:
@@ -381,6 +400,10 @@ class TestFineGrain:
     def test_plan_mismatch(self):
         with pytest.raises(errors.PlanMismatch):
             fine_grain(bell(), (1, 1, 1), ["S"], "C")
+        # 2/3 and 1/3 against the spectrum (1/2, 1/2)
+        with pytest.raises(errors.PlanMismatch, match="squared coefficients "
+                           "do not match counts within tolerance"):
+            fine_grain(bell(), (2, 1), ["S"], "C")
 
     def test_zero_count(self):
         with pytest.raises(errors.PlanMismatch,
@@ -514,6 +537,26 @@ class TestCommensurate:
         got = find_commensurate_denominator(probs, 1e-6, 10 ** 7)
         assert time.perf_counter() - start < 1.0
         assert got == (10 ** 5, (1,) * 10 ** 5)
+
+    @pytest.mark.parametrize("kind", ["near-equal", "uniform"])
+    def test_a_stalled_block_reads_few_values(self, monkeypatch, kind):
+        # at tolerance x m_cap = 0.1, the loosest validate admits, the
+        # first value leaves about 900 blocks whole; the smallest M of
+        # each is fitted 64 values at a time and fails in the first chunk,
+        # where fitting all 10^5 values at once passes 10^8 through rint
+        probs = self.many_outcomes(kind)
+        rint, elements = np.rint, []
+
+        def counted_rint(x, *args, **kwargs):
+            elements.append(np.size(x))
+            return rint(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "rint", counted_rint)
+        start = time.perf_counter()
+        with pytest.raises(errors.UseBoundsInstead):
+            find_commensurate_denominator(probs, 1e-8, 10 ** 7)
+        assert time.perf_counter() - start < 1.0
+        assert sum(elements) < 3 * 10 ** 7
 
     def test_full_miss_at_large_cap(self):
         p = np.cos(1.0) ** 2

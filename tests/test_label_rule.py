@@ -83,7 +83,8 @@ CASES = {
     "relative_states": lambda w: [(c, p.amplitudes) for c, p in
                                   relative_states(DENSE, w("E1"), FOURIER)],
     "is_envariant": lambda w: _verdict(is_envariant(
-        COUNTED, SubsystemUnitary("Sys", np.diag([1, -1, 1j])), w("E1"))),
+        COUNTED, SubsystemUnitary("Sys", np.diag([1, -1, 1j])),
+        schmidt_decompose(COUNTED, w("Sys")))),
     "born_probabilities": lambda w: born_probabilities(COUNTED, w("E1")),
     "schmidt_probabilities": lambda w: schmidt_probabilities(COUNTED, w("E1")),
     "rational_bounds": lambda w: rational_bounds(COUNTED, w("E1"), 10),

@@ -98,6 +98,24 @@ class TestLayoutAndState:
         assert peak < 6 * state.amplitudes.nbytes
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: SpaceLayout([("", 2)]), errors.LabelCollision,
+     "empty subsystem label"),
+    (lambda: SpaceLayout([("S", 2), ("E", 0)]), ValueError,
+     "dimension of 'E' must be >= 1"),
+    (lambda: PureState(SpaceLayout([("S", 2), ("E", 2)]), [1, 0, 0]),
+     ValueError, "amplitude length 3 != total dimension 4"),
+    (lambda: SubsystemUnitary("S", np.eye(2, 3)), errors.NotUnitary,
+     r"matrix shape \(2, 3\) is not square"),
+    (lambda: apply_unitary(bell_state(), SubsystemUnitary("S", np.eye(3))),
+     ValueError, "unitary dimension 3 != target dimension 2"),
+], ids=["empty_label", "zero_dimension", "amplitude_length",
+        "non_square_unitary", "unitary_dimension"])
+def test_malformed_input_rejected(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 class TestTensorProduct:
     def test_basis_product(self):
         a = basis_state(SpaceLayout([("S", 2)]), [0])
