@@ -13,6 +13,7 @@ import numpy as np
 from .errors import (
     BadIndex,
     InvalidDensity,
+    LayoutMismatch,
     LengthMismatch,
     MTooSmall,
     NotEqualAmplitude,
@@ -70,7 +71,7 @@ def schmidt_phase_unitary(sd: SchmidtDecomposition,
             f"{phases.size} phases for {sd.rank} Schmidt terms"
         )
     return SubsystemUnitary(sd.left_labels, _in_basis(
-        sd.left_basis[:, : sd.rank], np.diag(np.exp(1j * phases) - 1.0)))
+        sd.left_basis, np.diag(np.exp(1j * phases) - 1.0)))
 
 
 def _in_basis(columns: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -92,12 +93,9 @@ def schmidt_swap_unitary(sd: SchmidtDecomposition, k: int,
     return SubsystemUnitary(sd.left_labels, _swap_matrix(sd.left_basis, k, l))
 
 
-def _complement_basis(cols: np.ndarray, dim: int) -> np.ndarray:
+def _complement_basis(cols: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of the columns."""
-    if cols.shape[1] == 0:
-        return np.eye(dim, dtype=complex)
-    full = np.linalg.svd(cols, full_matrices=True)[0]
-    return full[:, cols.shape[1]:]
+    return np.linalg.svd(cols, full_matrices=True)[0][:, cols.shape[1]:]
 
 
 def is_envariant(state: PureState, u: SubsystemUnitary,
@@ -110,6 +108,14 @@ def is_envariant(state: PureState, u: SubsystemUnitary,
     witness recorded).  Otherwise the undo is the counter-rotation on the
     Schmidt partners, verified to restore the state up to global phase.
     """
+    layout = state.layout
+    dims = layout.subdim(sd.left_labels), layout.subdim(sd.right_labels)
+    held = len(sd.left_basis), len(sd.right_basis)
+    if sorted(sd.left_labels + sd.right_labels) != sorted(layout.labels) \
+            or held != dims:
+        raise LayoutMismatch(
+            f"decomposition over {sd.left_labels} | {sd.right_labels} of "
+            f"dimensions {held} does not fit {layout.subsystems}")
     if set(u.targets) & set(sd.right_labels):
         raise SideViolation(
             f"unitary targets {u.targets} overlap environment side")
@@ -126,7 +132,7 @@ def is_envariant(state: PureState, u: SubsystemUnitary,
     # psi = A C R^T, and U A = A W with W commuting with C, so
     # A^+ M' R^* = W C: its unitary polar factor is W, found without
     # dividing by C, and X R = R W^* undoes U on the environment
-    a, r = sd.left_basis[:, : sd.rank], sd.right_basis[:, : sd.rank]
+    a, r = sd.left_basis, sd.right_basis
     p, _, vh = np.linalg.svd(a.conj().T @ m_after @ r.conj())
     x = r @ (p @ vh).conj() @ r.conj().T
     undo = SubsystemUnitary(sd.right_labels,
@@ -156,14 +162,7 @@ def envariant_swap(state: PureState, k: int, l: int,
 
 def equal_amplitude_probabilities(state: PureState, system) -> np.ndarray:
     """p_k = 1/N per Schmidt term; requires all coefficients equal."""
-    sd = schmidt_decompose(state, system)
-    return _equal_weights(sd.coefficients[: sd.rank])
-
-
-def _equal_weights(coeffs: np.ndarray) -> np.ndarray:
-    """1/N per term of N nonzero coefficients, which must all be equal."""
-    if coeffs.size == 0:
-        raise NotEqualAmplitude("state has no Schmidt terms")
+    coeffs = schmidt_decompose(state, system).coefficients
     if coeffs.max() - coeffs.min() > STATE_TOL:
         raise NotEqualAmplitude(
             f"coefficients range over [{coeffs.min()}, {coeffs.max()}]"
@@ -209,7 +208,7 @@ def fine_grain(state: PureState, counts, system, ancilla: str,
     if ancilla in state.layout.labels:
         raise PlanMismatch(f"ancilla label {ancilla!r} already used")
     sd = schmidt_decompose(state, sys_labels)
-    probs = sd.coefficients[: sd.rank] ** 2
+    probs = sd.coefficients ** 2
     de = state.layout.subdim(env_labels)
     counts = tuple(int(c) for c in counts)
     _check_counts(counts, probs, tolerance, de)
@@ -219,9 +218,8 @@ def fine_grain(state: PureState, counts, system, ancilla: str,
     for k, mk in enumerate(counts):
         frame[offset:offset + mk, k] = 1.0 / math.sqrt(mk)
         offset += mk
-    eps = sd.right_basis[:, : sd.rank]
-    w = frame @ eps.conj().T
-    w += _complement_basis(frame, de) @ _complement_basis(eps, de).conj().T
+    w = frame @ sd.right_basis.conj().T
+    w += _complement_basis(frame) @ _complement_basis(sd.right_basis).conj().T
     rotated = apply_unitary(state, SubsystemUnitary(env_labels, w))
     joined = attach_ready(rotated, ancilla, sum(counts))
     return controlled_shift(joined, env_labels, ancilla)
@@ -328,16 +326,14 @@ def born_probabilities(state: PureState, system, tolerance: float = COUNT_TOL,
 
 def _pointer_order(sd: SchmidtDecomposition) -> np.ndarray:
     """Schmidt-term order keyed by the system vectors' leading basis index."""
-    return np.argsort(_leading_index(sd.left_basis[:, : sd.rank]),
-                      kind="stable")
+    return np.argsort(_leading_index(sd.left_basis), kind="stable")
 
 
 def schmidt_probabilities(state: PureState, system) -> np.ndarray:
     """Squared Schmidt coefficients in pointer order: by each system
     Schmidt vector's leading basis index."""
     sd = schmidt_decompose(state, system)
-    probs = sd.coefficients[: sd.rank] ** 2
-    return probs[_pointer_order(sd)]
+    return (sd.coefficients ** 2)[_pointer_order(sd)]
 
 
 def rational_bounds(state: PureState, system,

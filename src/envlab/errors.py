@@ -36,7 +36,7 @@ class NotUnitary(EnvLabError):
 
 
 class LayoutMismatch(EnvLabError):
-    """Two states do not share the same layout."""
+    """Two states, or a state and its decomposition, differ in layout."""
 
 
 # --- tensor-core operations ---

@@ -283,23 +283,24 @@ class DensityOperator:
 
 @dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
-    """Coefficients and paired orthonormal bases for a bipartition.
+    """The Schmidt terms of a bipartition: coefficients above KERNEL_TOL
+    and their paired orthonormal vectors.
 
     ``left_basis`` columns are phase-fixed so each vector's first
     significant amplitude is real positive; ``right_basis`` columns carry
-    the compensating phases so that
-    ``sum_k c_k left[:,k] x right[:,k]`` reconstructs the state exactly.
+    the compensating phases so that ``sum_k c_k left[:,k] x right[:,k]``
+    reconstructs the state but for terms of coefficient <= KERNEL_TOL.
     """
 
     left_labels: tuple[str, ...]
     right_labels: tuple[str, ...]
-    coefficients: np.ndarray     # non-negative, descending
-    left_basis: np.ndarray       # columns = left Schmidt vectors
-    right_basis: np.ndarray      # columns = right Schmidt vectors
+    coefficients: np.ndarray     # above KERNEL_TOL, descending
+    left_basis: np.ndarray       # d_left x rank: left Schmidt vectors
+    right_basis: np.ndarray      # d_right x rank: right Schmidt vectors
 
     @property
     def rank(self) -> int:
-        return int(np.sum(self.coefficients > KERNEL_TOL))
+        return self.coefficients.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -546,13 +547,13 @@ def _phase_fix(columns: np.ndarray, firsts: np.ndarray) -> np.ndarray:
 
 
 def schmidt_decompose(state: PureState, left) -> SchmidtDecomposition:
-    """Schmidt decomposition across the (left, complement) bipartition."""
+    """The Schmidt terms across the (left, complement) bipartition."""
     left_ordered, right_ordered = state.layout.split(left)
     if not left_ordered or not right_ordered:
         raise InvalidBipartition("both sides of the bipartition must be non-empty")
     u, s, vh = np.linalg.svd(matricize(state, left_ordered),
                              full_matrices=False)
-    # tie-break numerically degenerate coefficients deterministically
+    # keep the terms; tie-break degenerate coefficients deterministically
     firsts = _leading_index(u)
     order = _degenerate_order(s, firsts)
     u, s, vh = u[:, order], s[order], vh[order, :]
@@ -566,9 +567,10 @@ def schmidt_decompose(state: PureState, left) -> SchmidtDecomposition:
 
 
 def _degenerate_order(s: np.ndarray, firsts: np.ndarray) -> np.ndarray:
-    """Stable order: descending coefficient, ties by leading row."""
+    """Terms above KERNEL_TOL: descending coefficient, ties by leading row."""
     keys = list(zip(-np.round(s / KERNEL_TOL) * KERNEL_TOL, firsts))
-    return np.array(sorted(range(len(s)), key=lambda i: keys[i]), dtype=int)
+    return np.array(sorted(np.flatnonzero(s > KERNEL_TOL),
+                           key=lambda i: keys[i]), dtype=int)
 
 
 def _basis_matrix(basis) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from envlab import cli, envariance, tensor_core
+from envlab import cli, envariance, errors, tensor_core
 from envlab.cli import main
 from envlab.info_measures import redundancy_report
 from envlab.measurement_models import branch_records, cascade_environment
@@ -452,6 +452,25 @@ class TestPlumbing:
             "--env-count", "-3")
         assert code == 2
         assert json.loads(err)["error"] == "validation"
+
+    def test_unknown_scenario_kind(self):
+        # argparse admits only the known subcommands, so a config object
+        # is the one way to name another
+        with pytest.raises(cli.ValidationFailure) as info:
+            cli.ScenarioConfig(kind="x", amplitudes=[0.6, 0.8]).validate()
+        assert info.value.messages == {"kind": "unknown scenario 'x'"}
+
+    def test_library_error_is_a_scenario_field(self, capsys, monkeypatch):
+        def refuse(cfg):
+            raise errors.PlanMismatch("no plan fits")
+
+        reads = cli._PIPELINES["born"][1]
+        monkeypatch.setitem(cli._PIPELINES, "born", (refuse, reads))
+        code, out, err = run_cli(capsys, "born", "--amplitudes", "1,1")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "validation",
+            "fields": {"scenario": "PlanMismatch: no plan fits"}}
 
     @pytest.mark.parametrize("kind", ["born", "einselect", "envariance",
                                       "redundancy", "cascade"])

@@ -149,6 +149,31 @@ class TestIsEnvariant:
             is_envariant(bell(), SubsystemUnitary(("E",), np.eye(2)),
                          schmidt_decompose(bell(), ["S"]))
 
+    @pytest.mark.parametrize("state_layout, sd_layout, error", [
+        ([("S", 3), ("E", 4)], [("S", 3), ("E", 5)], errors.LayoutMismatch),
+        ([("S", 3), ("E", 4)], [("S", 2), ("E", 4)], errors.LayoutMismatch),
+        ([("S", 3), ("E", 4), ("F", 1)], [("S", 3), ("E", 4)],
+         errors.LayoutMismatch),
+        ([("S", 3), ("E", 4)], [("S", 3), ("X", 4)], errors.UnknownLabel),
+    ], ids=["environment_dimension", "system_dimension", "uncovered_label",
+            "unknown_label"])
+    def test_decomposition_of_another_layout_rejected(self, state_layout,
+                                                      sd_layout, error):
+        # an F of dimension 1 leaves every matrix shape intact: only the
+        # label check sees that the decomposition omits it
+        rng = np.random.default_rng(39)
+
+        def random_state(subsystems):
+            layout = SpaceLayout(subsystems)
+            v = rng.normal(size=layout.total_dimension)
+            return PureState(layout, v / np.linalg.norm(v))
+
+        st = random_state(state_layout)
+        sd = schmidt_decompose(random_state(sd_layout), ["S"])
+        u = SubsystemUnitary("S", np.eye(3))
+        with pytest.raises(error):
+            is_envariant(st, u, sd)
+
     def test_another_states_decomposition_gives_no_undo(self):
         # U is envariant for the state, but the undo built from another
         # state's Schmidt partners fails its verification
@@ -719,9 +744,11 @@ class TestRationalBounds:
                     assert counts[k] == pinned
                     assert counts.min() >= 0 and counts.sum() == m
                     comparison = schmidt_state(np.sqrt(counts / m), m)
-                    coeffs = schmidt_decompose(comparison, ["S"]).coefficients
+                    sd = schmidt_decompose(comparison, ["S"])
+                    nonzero = counts[counts > 0]
+                    assert sd.rank == nonzero.size
                     np.testing.assert_allclose(
-                        coeffs ** 2, np.sort(counts / m)[::-1],
+                        sd.coefficients ** 2, np.sort(nonzero / m)[::-1],
                         rtol=0, atol=KERNEL_TOL)
 
 

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from envlab import errors
+from envlab.envariance import fine_grain
 from envlab.tensor_core import (
+    KERNEL_TOL,
     BranchState,
+    DensityOperator,
     PureState,
     SpaceLayout,
     SubsystemUnitary,
@@ -13,6 +16,7 @@ from envlab.tensor_core import (
     basis_state,
     controlled_shift,
     global_phase_distance,
+    matricize,
     partial_trace,
     relative_states,
     schmidt_decompose,
@@ -109,8 +113,27 @@ class TestLayoutAndState:
      r"matrix shape \(2, 3\) is not square"),
     (lambda: apply_unitary(bell_state(), SubsystemUnitary("S", np.eye(3))),
      ValueError, "unitary dimension 3 != target dimension 2"),
+    (lambda: DensityOperator(SpaceLayout([("S", 2)]), np.eye(3) / 3),
+     ValueError, r"matrix shape \(3, 3\) != \(2, 2\)"),
+    (lambda: DensityOperator(SpaceLayout([("S", 2)]), [[0.5, 0.5], [0, 0.5]]),
+     errors.InvalidDensity, "matrix not Hermitian within tolerance"),
+    (lambda: DensityOperator(SpaceLayout([("S", 2)]), np.eye(2)),
+     errors.InvalidDensity, r"trace \(2\+0j\) differs from 1"),
+    (lambda: basis_state(SpaceLayout([("S", 2), ("E", 2)]), [0]),
+     ValueError, "one index per subsystem required"),
+    (lambda: basis_state(SpaceLayout([("S", 2), ("E", 3)]), [0, 3]),
+     ValueError, "index 3 out of range for dimension 3"),
+    (lambda: controlled_shift(bell_state(), ["S", "E"], "E"),
+     errors.LabelCollision, "target coincides with a control"),
+    (lambda: relative_states(bell_state(), ["E", "S"], np.eye(4)),
+     errors.InvalidBipartition, "left side covers the whole layout"),
+    (lambda: fine_grain(bell_state(), (1, 1), ["S"], "E"),
+     errors.PlanMismatch, "ancilla label 'E' already used"),
 ], ids=["empty_label", "zero_dimension", "amplitude_length",
-        "non_square_unitary", "unitary_dimension"])
+        "non_square_unitary", "unitary_dimension", "density_shape",
+        "density_not_hermitian", "density_trace", "basis_index_count",
+        "basis_index_range", "shift_target_is_control",
+        "relative_states_whole_layout", "fine_grain_ancilla_used"])
 def test_malformed_input_rejected(build, error, message):
     with pytest.raises(error, match=message):
         build()
@@ -309,6 +332,32 @@ class TestSchmidt:
         rho = partial_trace(st, ["S"])
         rank = int(np.sum(np.linalg.eigvalsh(rho.matrix) > 1e-12))
         assert sd.rank == rank
+
+    def test_only_terms_above_kernel_tol(self):
+        # rank-deficient states: the amplitudes (0.6, 0.8, 0) on a
+        # 5-dimensional environment, then seeded ones with zero entries
+        sd = schmidt_decompose(schmidt_state([0.6, 0.8, 0], 5), ["S"])
+        np.testing.assert_allclose(sd.coefficients, [0.8, 0.6],
+                                   rtol=0, atol=1e-12)
+        assert (sd.left_basis.shape, sd.right_basis.shape) == ((3, 2), (5, 2))
+        states = [schmidt_state([0.6, 0.8, 0], 5)]
+        rng = np.random.default_rng(33)
+        while len(states) < 100:
+            dl, dr = (int(x) for x in rng.integers(2, 9, size=2))
+            amps = rng.choice([0, 0.5, -0.5, 1, 2], size=(dl, dr))
+            amps[rng.random(dl) < 0.4] = 0          # zero system rows
+            if np.any(amps):
+                states.append(PureState(SpaceLayout([("S", dl), ("E", dr)]),
+                                        amps.ravel() / np.linalg.norm(amps)))
+        deficient = 0
+        for st in states:
+            sd = schmidt_decompose(st, ["S"])
+            deficient += sd.rank < min(st.layout.dims)
+            assert sd.coefficients.min() > KERNEL_TOL
+            assert sd.left_basis.shape[1] == sd.right_basis.shape[1] == sd.rank
+            rebuilt = (sd.left_basis * sd.coefficients) @ sd.right_basis.T
+            assert np.max(np.abs(rebuilt - matricize(st, ["S"]))) < 1e-12
+        assert deficient > 50
 
     def test_trivial_bipartition(self):
         st = single_state("S", [1, 0])
