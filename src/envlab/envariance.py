@@ -27,7 +27,7 @@ from .tensor_core import (
     PureState,
     SchmidtDecomposition,
     SubsystemUnitary,
-    _leading_index,
+    _leading,
     apply_unitary,
     attach_ready,
     controlled_shift,
@@ -326,7 +326,7 @@ def born_probabilities(state: PureState, system, tolerance: float = COUNT_TOL,
 
 def _pointer_order(sd: SchmidtDecomposition) -> np.ndarray:
     """Schmidt-term order keyed by the system vectors' leading basis index."""
-    return np.argsort(_leading_index(sd.left_basis), kind="stable")
+    return np.argsort(_leading(sd.left_basis)[0], kind="stable")
 
 
 def schmidt_probabilities(state: PureState, system) -> np.ndarray:

@@ -55,10 +55,15 @@ def _label_tuple(labels) -> tuple[str, ...]:
 
 def _check_dimension(factors) -> None:
     """Raise SpaceTooLarge when the product of d**m over the (d, m) pairs
-    exceeds the guard.  A product past 4301 digits exceeds any guard
-    ``int`` reads, so it is not formed; the detail shows the exact product
-    when it has at most 4300 digits, the most ``str`` prints."""
-    guard, factors = dimension_guard(), list(factors)
+    exceeds the guard; a d of 1 adds nothing.  A product past 4301 digits
+    exceeds any guard ``int`` reads, so it is not formed; the detail shows
+    the exact product up to 4300 digits, the most ``str`` prints, then
+    about 10^e, and about 10^(10^log10 e) once an m passes 10^300."""
+    guard, factors = dimension_guard(), [(d, m) for d, m in factors if d > 1]
+    if any(m > 1e300 for _, m in factors):  # e may leave float range
+        x = math.log10(sum(m * round(1e16 * math.log10(d)) for d, m in factors))
+        raise SpaceTooLarge(f"total dimension about 10^(10^{x - 16:.2f}) "
+                            f"exceeds guard {guard}")
     log10 = sum(m * math.log10(d) for d, m in factors)
     total = math.prod(d ** m for d, m in factors) if log10 < 4301 else None
     if total is None or total > guard:
@@ -525,25 +530,14 @@ def _conditioned_entropy(state: BranchState, system, fragment,
     return state._results[key]
 
 
-def _leading_index(columns: np.ndarray) -> np.ndarray:
-    """Per column, the row of the first entry above KERNEL_TOL in
-    magnitude; the row count for a column with no such entry."""
-    firsts = np.full(columns.shape[1], columns.shape[0], dtype=int)
-    for k in range(columns.shape[1]):
-        nz = np.flatnonzero(np.abs(columns[:, k]) > KERNEL_TOL)
-        if nz.size:
-            firsts[k] = nz[0]
-    return firsts
-
-
-def _phase_fix(columns: np.ndarray, firsts: np.ndarray) -> np.ndarray:
-    """Per-column phases making the first significant entry real positive;
-    ``firsts`` is ``_leading_index(columns)``."""
-    phases = np.ones(columns.shape[1], dtype=complex)
-    for k, i in enumerate(firsts):
-        if i < columns.shape[0]:
-            phases[k] = columns[i, k] / abs(columns[i, k])
-    return phases
+def _leading(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per unit column, the row of its first entry above KERNEL_TOL in
+    magnitude and that entry's phase (``np.hypot`` has scalar ``abs``'s
+    bits).  A unit column of at most 2^20 rows has an entry of at least
+    2^-10; a column with none would read row 0."""
+    rows = np.argmax(np.abs(columns) > KERNEL_TOL, axis=0)
+    lead = columns[rows, np.arange(columns.shape[1])]
+    return rows, lead / np.hypot(lead.real, lead.imag)
 
 
 def schmidt_decompose(state: PureState, left) -> SchmidtDecomposition:
@@ -553,24 +547,16 @@ def schmidt_decompose(state: PureState, left) -> SchmidtDecomposition:
         raise InvalidBipartition("both sides of the bipartition must be non-empty")
     u, s, vh = np.linalg.svd(matricize(state, left_ordered),
                              full_matrices=False)
-    # keep the terms; tie-break degenerate coefficients deterministically
-    firsts = _leading_index(u)
-    order = _degenerate_order(s, firsts)
-    u, s, vh = u[:, order], s[order], vh[order, :]
-    phases = _phase_fix(u, firsts[order])
-    u = u / phases[np.newaxis, :]
-    right = vh.T * phases[np.newaxis, :]   # columns are right kets
-    coeffs = np.asarray(s, dtype=float)
+    # the terms: descending coefficient, ties by leading row
+    rows, phases = _leading(u)
+    kept = np.flatnonzero(s > KERNEL_TOL)
+    order = kept[np.lexsort((rows[kept], -np.round(s[kept] / KERNEL_TOL)))]
+    u = u[:, order] / phases[order]
+    right = vh[order].T * phases[order]   # columns are right kets
+    coeffs = s[order]
     coeffs.flags.writeable = False
     return SchmidtDecomposition(left_ordered, right_ordered,
                                 coeffs, _freeze(u), _freeze(right))
-
-
-def _degenerate_order(s: np.ndarray, firsts: np.ndarray) -> np.ndarray:
-    """Terms above KERNEL_TOL: descending coefficient, ties by leading row."""
-    keys = list(zip(-np.round(s / KERNEL_TOL) * KERNEL_TOL, firsts))
-    return np.array(sorted(np.flatnonzero(s > KERNEL_TOL),
-                           key=lambda i: keys[i]), dtype=int)
 
 
 def _basis_matrix(basis) -> np.ndarray:
@@ -610,7 +596,7 @@ def relative_states(state: PureState, left, basis):
             out.append((0j, None))
             continue
         unit = w[:, np.newaxis] / c
-        ph = _phase_fix(unit, _leading_index(unit))[0]
+        ph = _leading(unit)[1][0]
         out.append((c * ph, PureState(right_layout, unit / ph)))
     return out
 

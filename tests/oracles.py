@@ -6,8 +6,10 @@ structurally different computation.  The counting oracles keep the
 one-candidate-at-a-time denominator scan and the dense fine-grained
 state that the library's structured counting path replaces, and the
 branch-state builder keeps the gate chain that ``BranchState.dense``
-replaces.  The comparison-state builder realizes the endpoints of the
-rational bounds.
+replaces.  The Schmidt-convention oracle keeps the per-column loops and
+the Python ``sorted`` that the library's one array-wide leading-entry
+helper and its ``lexsort`` replace.  The comparison-state builder
+realizes the endpoints of the rational bounds.
 
 The dense-state helpers that no scenario of the ``envlab`` command
 reaches live here too, as the tests' reference: one-subsystem states,
@@ -103,6 +105,60 @@ def schmidt_reconstruct(sd: SchmidtDecomposition,
     arr = mat.reshape([layout.dim(l) for l in front])
     arr = np.moveaxis(arr, range(len(front)), [layout.index(l) for l in front])
     return PureState(layout, arr.ravel())
+
+
+def _leading_index(columns: np.ndarray) -> np.ndarray:
+    """Per column, the row of the first entry above KERNEL_TOL in
+    magnitude; the row count for a column with no such entry."""
+    firsts = np.full(columns.shape[1], columns.shape[0], dtype=int)
+    for k in range(columns.shape[1]):
+        nz = np.flatnonzero(np.abs(columns[:, k]) > KERNEL_TOL)
+        if nz.size:
+            firsts[k] = nz[0]
+    return firsts
+
+
+def _phase_fix(columns: np.ndarray, firsts: np.ndarray) -> np.ndarray:
+    """Per-column phases making the first significant entry real positive;
+    ``firsts`` is ``_leading_index(columns)``."""
+    phases = np.ones(columns.shape[1], dtype=complex)
+    for k, i in enumerate(firsts):
+        if i < columns.shape[0]:
+            phases[k] = columns[i, k] / abs(columns[i, k])
+    return phases
+
+
+def _degenerate_order(s: np.ndarray, firsts: np.ndarray) -> np.ndarray:
+    """Terms above KERNEL_TOL: descending coefficient, ties by leading row."""
+    keys = list(zip(-np.round(s / KERNEL_TOL) * KERNEL_TOL, firsts))
+    return np.array(sorted(np.flatnonzero(s > KERNEL_TOL),
+                           key=lambda i: keys[i]), dtype=int)
+
+
+def schmidt_convention_oracle(u, s, vh):
+    """(coefficients, left basis, right basis) of the Schmidt terms of the
+    SVD ``(u, s, vh)`` of a matricized state, by per-column loops and a
+    Python ``sorted``: the terms above KERNEL_TOL in descending
+    coefficient, ties by leading row, each left column divided by the
+    phase of its first significant entry and its right column multiplied
+    by it."""
+    firsts = _leading_index(u)
+    order = _degenerate_order(s, firsts)
+    u, s, vh = u[:, order], s[order], vh[order, :]
+    phases = _phase_fix(u, firsts[order])
+    return s, u / phases[np.newaxis, :], vh.T * phases[np.newaxis, :]
+
+
+def relative_phase_oracle(unit: np.ndarray) -> complex:
+    """The phase of a unit vector's first entry above KERNEL_TOL."""
+    column = unit[:, np.newaxis]
+    return _phase_fix(column, _leading_index(column))[0]
+
+
+def pointer_order_oracle(sd: SchmidtDecomposition) -> np.ndarray:
+    """The Schmidt terms in the order of their left vectors' leading rows,
+    stable among equal rows."""
+    return np.argsort(_leading_index(sd.left_basis), kind="stable")
 
 
 def schmidt_phase_oracle(sd: SchmidtDecomposition, phases) -> np.ndarray:
@@ -465,7 +521,7 @@ def dense_born_probabilities(state, system, tolerance=1e-10, m_cap=10 ** 4):
     are asked for instead."""
     sys_labels = state.layout.split(system)[0]
     sd = schmidt_decompose(state, sys_labels)
-    probs = sd.coefficients[: sd.rank] ** 2
+    probs = sd.coefficients ** 2
     m, counts = scalar_commensurate_denominator(probs, tolerance, m_cap)
     fine = fine_grain(state, counts, sys_labels, "_anc",
                       tolerance=tolerance + 0.5 / m)

@@ -620,6 +620,35 @@ class TestPlumbing:
             assert doc["detail"] == (
                 f"total dimension {shown} exceeds guard {2 ** 20}")
 
+    @pytest.mark.parametrize("kind, digits, via, shown", [
+        # past float range m log10(d) is not formed: the detail shows the
+        # base-10 logarithm of the exponent, (N+2) log10 2 for redundancy
+        # and (2N+1) log10 2 for cascade
+        ("redundancy", 400, "flag", "10^(10^398.48)"),
+        ("redundancy", 4300, "flag", "10^(10^4298.48)"),
+        ("redundancy", 400, "config", "10^(10^398.48)"),
+        ("cascade", 400, "flag", "10^(10^398.78)"),
+        ("cascade", 4300, "flag", "10^(10^4298.78)"),
+        ("cascade", 400, "config", "10^(10^398.78)"),
+    ])
+    def test_guard_past_float_range(self, capsys, monkeypatch, tmp_path,
+                                    kind, digits, via, shown):
+        monkeypatch.delenv("ENVLAB_DIM_GUARD", raising=False)
+        n_env = 10 ** (digits - 1)
+        argv = ("--amplitudes", "1,1", "--env-count", str(n_env))
+        if via == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"amplitudes": [1, 1],
+                                       "env_count": n_env}))
+            argv = ("--config", str(cfg))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, kind, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {
+            "error": "dimension_guard",
+            "detail": f"total dimension about {shown} exceeds guard {2 ** 20}"}
+
     @pytest.mark.parametrize("argv, field", [
         (("--amplitudes", "0.6,0.8", "--bounds-m", str(10 ** 20)), "bounds_m"),
         (("--amplitudes", "0.6,0.8", "--bounds-m", str(2 ** 53 + 1)),

@@ -1,10 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from envlab import errors
-from envlab.envariance import fine_grain
+from envlab.envariance import _pointer_order, fine_grain
 from envlab.tensor_core import (
     KERNEL_TOL,
     BranchState,
@@ -12,6 +13,7 @@ from envlab.tensor_core import (
     PureState,
     SpaceLayout,
     SubsystemUnitary,
+    _check_dimension,
     apply_unitary,
     basis_state,
     controlled_shift,
@@ -28,7 +30,10 @@ from oracles import (
     load_state,
     outer_product_oracle,
     partial_trace_oracle,
+    pointer_order_oracle,
+    relative_phase_oracle,
     save_state,
+    schmidt_convention_oracle,
     schmidt_reconstruct,
     schmidt_state,
     single_state,
@@ -57,6 +62,15 @@ class TestLayoutAndState:
         with pytest.raises(errors.SpaceTooLarge):
             SpaceLayout([("A", 4), ("B", 5)])
         SpaceLayout([("A", 4), ("B", 4)])
+
+    def test_dimension_guard_past_float_range(self, monkeypatch):
+        # 1^m is 1 at any m; 2^m with m past float range is refused
+        monkeypatch.delenv("ENVLAB_DIM_GUARD", raising=False)
+        _check_dimension([(1, 10 ** 400), (2, 3)])
+        with pytest.raises(errors.SpaceTooLarge) as caught:
+            _check_dimension([(1, 10 ** 400), (2, 10 ** 400)])
+        assert str(caught.value) == (
+            f"total dimension about 10^(10^399.48) exceeds guard {2 ** 20}")
 
     def test_norm_enforced(self):
         with pytest.raises(errors.NotNormalized):
@@ -358,6 +372,70 @@ class TestSchmidt:
             rebuilt = (sd.left_basis * sd.coefficients) @ sd.right_basis.T
             assert np.max(np.abs(rebuilt - matricize(st, ["S"]))) < 1e-12
         assert deficient > 50
+
+    def test_convention_matches_loop_oracle(self):
+        # 320 seeded states over three labels of dimension 1-4, split one
+        # label against two in a random order: complex, rounded to small
+        # integers, of lower rank than their sides, and monomial (one entry
+        # per row and column, so degenerate coefficients with distinct
+        # leading rows), at full and lower rank; the terms, the
+        # relative-state phases and the pointer order have the bits of the
+        # per-column loops
+        rng = np.random.default_rng(34)
+        degenerate = deficient = 0
+        kinds = ("complex", "rounded", "low rank", "monomial",
+                 "monomial low rank")
+        for i in range(320):
+            kind, labels = kinds[i % 5], ["A", "B", "C"]
+            dims = dict(zip(labels, (int(d) for d in rng.integers(1, 5, 3))))
+            left = [str(l) for l in rng.permutation(labels)[:1 + i % 2]]
+            right = [l for l in labels if l not in left]
+            dl, dr = math.prod(dims[l] for l in left), \
+                math.prod(dims[l] for l in right)
+            r = min(dl, dr)
+            if "low rank" in kind:
+                r = int(rng.integers(1, r)) if r > 1 else 1
+            if "monomial" in kind:
+                mat = np.zeros((dl, dr), dtype=complex)
+                mat[rng.permutation(dl)[:r], rng.permutation(dr)[:r]] = \
+                    rng.choice([1, -1, 1j, -1j, 2], size=r)
+            else:
+                a, b = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                        for shape in ((dl, r), (r, dr)))
+                mat = np.round(1.5 * a) @ np.round(1.5 * b) \
+                    if kind == "rounded" else a @ b
+            if not np.any(mat):
+                mat[0, 0] = 1
+            order = [str(l) for l in rng.permutation(labels)]
+            arr = np.moveaxis(mat.reshape([dims[l] for l in left + right]),
+                              range(3), [order.index(l) for l in left + right])
+            st = PureState(SpaceLayout([(l, dims[l]) for l in order]),
+                           arr.ravel() / np.linalg.norm(mat))
+            sd = schmidt_decompose(st, left)
+            rows = matricize(st, st.layout.split(left)[0])   # layout order
+            want = schmidt_convention_oracle(*np.linalg.svd(
+                rows, full_matrices=False))
+            for got, ref in zip((sd.coefficients, sd.left_basis,
+                                 sd.right_basis), want):
+                assert got.shape == ref.shape and np.array_equal(got, ref)
+            assert np.array_equal(_pointer_order(sd), pointer_order_oracle(sd))
+            keys = np.round(sd.coefficients / KERNEL_TOL)
+            degenerate += np.unique(keys).size < sd.rank
+            deficient += sd.rank < min(dl, dr)
+            gauss = rng.normal(size=(dl, dl)) + 1j * rng.normal(size=(dl, dl))
+            basis = np.eye(dl) if kind in ("rounded", "monomial") \
+                else np.linalg.qr(gauss)[0]
+            for vec, (coeff, partner) in zip(
+                    basis, relative_states(st, left, list(basis))):
+                w = vec.conj() @ rows
+                c = np.linalg.norm(w)
+                if c < KERNEL_TOL:
+                    assert coeff == 0 and partner is None
+                    continue
+                phase = relative_phase_oracle(w / c)
+                assert coeff == c * phase
+                assert np.array_equal(partner.amplitudes, w / c / phase)
+        assert degenerate > 40 and deficient > 40
 
     def test_trivial_bipartition(self):
         st = single_state("S", [1, 0])
