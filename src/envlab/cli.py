@@ -7,8 +7,6 @@ Exit codes: 0 success, 2 validation failure, 3 dimension guard, 4 I/O.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import secrets
@@ -73,11 +71,12 @@ class ScenarioConfig:
         bad = {}
         if self.kind not in _PIPELINES:
             bad["kind"] = f"unknown scenario {self.kind!r}"
+        amps = np.asarray(self.amplitudes, dtype=complex)
         with np.errstate(over="ignore"):    # past float range it is inf
-            norm = np.linalg.norm(self.amplitudes)
+            norm = np.linalg.norm(amps)
         if len(self.amplitudes) < 1:
             bad["amplitudes"] = "at least one amplitude required"
-        elif not np.all(np.isfinite(self.amplitudes)):
+        elif not np.all(np.isfinite(amps)):
             bad["amplitudes"] = "amplitudes must be finite"
         elif norm == np.inf:
             bad["amplitudes"] = "amplitude norm overflows a float"
@@ -104,7 +103,7 @@ class ScenarioConfig:
         elif max(self.bounds_m, default=0) > 2 ** 53:  # p*M and counts exact
             bad["bounds_m"] = "bounding denominators must be <= 2^53"
         elif self.bounds_m and self.kind == "born" and "amplitudes" not in bad:
-            n = np.count_nonzero(present_outcomes(self.probabilities()))
+            n = np.count_nonzero(present_outcomes(np.abs(amps / norm) ** 2))
             if min(self.bounds_m) < n:
                 bad["bounds_m"] = ("bounding denominators must be >= the "
                                    f"number of outcomes {n}")
@@ -126,26 +125,17 @@ class ScenarioConfig:
         a = np.asarray(self.amplitudes, dtype=complex)
         return a / np.linalg.norm(a)
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.unit_amplitudes()) ** 2
-
 
 @dataclass
 class RunResult:
     config: ScenarioConfig
-    tables: dict            # name -> {"columns": [...], "rows": [[...]]}
+    tables: dict            # name -> its columns, in _COLUMNS[name] order
     residuals: dict         # invariant name -> max observed residual
     duration_s: float
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".9g")
-    return str(x)
-
-
 # ---------------------------------------------------------------------------
-# scenario pipelines: each returns ({table name: rows}, residuals)
+# scenario pipelines: each returns ({table name: columns}, residuals)
 
 def _run_einselect(cfg: ScenarioConfig) -> tuple[dict, dict]:
     amps = cfg.unit_amplitudes()
@@ -155,9 +145,10 @@ def _run_einselect(cfg: ScenarioConfig) -> tuple[dict, dict]:
     mat = branch_density(state, ["S", "A"])
     offdiag = float(np.max(np.abs(mat - np.diag(np.diag(mat)))))
     mi = 2 * _entropy_bits(np.linalg.eigvalsh(mat))   # SAE pure: H(E)=H(SA)
-    rows = [[k, float(abs(amps[k]) ** 2), offdiag, mi] for k in range(d)]
+    columns = [np.arange(d), np.abs(amps) ** 2, np.full(d, offdiag),
+               np.full(d, mi)]
     norm_gap = float(abs(np.linalg.norm(state.amplitudes) - 1.0))
-    return {"einselect": rows}, {"global_norm_gap": norm_gap}
+    return {"einselect": columns}, {"global_norm_gap": norm_gap}
 
 
 def _run_redundancy(cfg: ScenarioConfig) -> tuple[dict, dict]:
@@ -169,23 +160,22 @@ def _run_redundancy(cfg: ScenarioConfig) -> tuple[dict, dict]:
         report = redundancy_report(state, "S", envs)
     except errors.UndefinedRatio as exc:    # one outcome holds all weight
         raise ValidationFailure({"amplitudes": str(exc)}) from None
-    rows, cum = [], 0.0
-    for i, mi in enumerate(report.per_fragment_mi):
-        cum += mi
-        rows.append([i, mi, cum, report.ratio])
+    mis = np.array(report.per_fragment_mi)
+    columns = [np.arange(mis.size), mis, np.cumsum(mis),
+               np.full(mis.size, report.ratio)]
     # A holds a perfect record, so rho_S = diag(|a_k|^2)
     residuals = {
         "system_entropy_gap": abs(report.system_entropy
                                   - _entropy_bits(np.abs(amps) ** 2)),
         "system_entropy_bits": report.system_entropy,
     }
-    return {"redundancy": rows}, residuals
+    return {"redundancy": columns}, residuals
 
 
 def _run_born(cfg: ScenarioConfig) -> tuple[dict, dict]:
     # the amplitudes are Schmidt coefficients in pointer order already; the
     # fine-graining environment needs room for M <= m_cap records
-    probs = cfg.probabilities()
+    probs = np.abs(cfg.unit_amplitudes()) ** 2
     tables, residuals, bounds_m = {}, {}, cfg.bounds_m
     try:
         counted = count_spectrum(probs, cfg.tolerance, cfg.m_cap, cfg.m_cap)
@@ -198,16 +188,15 @@ def _run_born(cfg: ScenarioConfig) -> tuple[dict, dict]:
                                      f"denominator reaches the {n} outcomes"})
     else:
         gaps = np.abs(counted - probs)
-        tables["born"] = list(zip(range(probs.size), counted, probs, gaps))
+        tables["born"] = [np.arange(probs.size), counted, probs, gaps]
         residuals["max_abs_gap"] = float(np.max(gaps))
     if bounds_m:
-        rows = []
-        for bm in bounds_m:
-            lower, upper = bound_spectrum(probs, bm)
-            rows += [[bm, k, lower[k], upper[k], upper[k] - lower[k]]
-                     for k in range(probs.size)]
-        tables["bounds"] = rows
-        residuals["max_bound_width"] = max(r[4] for r in rows)
+        lower, upper = map(np.concatenate, zip(
+            *(bound_spectrum(probs, bm) for bm in bounds_m)))
+        tables["bounds"] = [np.repeat(bounds_m, probs.size),
+                            np.tile(np.arange(probs.size), len(bounds_m)),
+                            lower, upper, upper - lower]
+        residuals["max_bound_width"] = tables["bounds"][-1].max()
     return tables, residuals
 
 
@@ -216,7 +205,6 @@ def _run_envariance(cfg: ScenarioConfig) -> tuple[dict, dict]:
     state = build_branch_state("S", amps, None, "E")
     sd = schmidt_decompose(state, "S")
     rng = np.random.default_rng(20040971)
-    rows = []
     phases = np.pi * (1.0 + np.arange(sd.rank)) / sd.rank
     tests = [("schmidt_phase", schmidt_phase_unitary(sd, phases))]
     if sd.rank >= 2:
@@ -225,13 +213,13 @@ def _run_envariance(cfg: ScenarioConfig) -> tuple[dict, dict]:
         + 1j * rng.normal(size=(amps.size, amps.size))
     tests.append(("random_system_unitary",
                   SubsystemUnitary("S", np.linalg.qr(gauss)[0])))
-    for name, u in tests:
-        verdict = is_envariant(state, u, sd)
-        rows.append([name, int(verdict.envariant), verdict.residual,
-                     verdict.witness_trace_distance])
-    residuals = {"max_true_residual": max(
-        (r[2] for r in rows if r[1]), default=0.0)}
-    return {"envariance": rows}, residuals
+    verdicts = [is_envariant(state, u, sd) for _, u in tests]
+    envariant = np.array([int(v.envariant) for v in verdicts])
+    residual = np.array([v.residual for v in verdicts])
+    columns = [[name for name, _ in tests], envariant, residual,
+               np.array([v.witness_trace_distance for v in verdicts])]
+    return {"envariance": columns}, {
+        "max_true_residual": max(residual[envariant == 1], default=0.0)}
 
 
 def _run_cascade(cfg: ScenarioConfig) -> tuple[dict, dict]:
@@ -239,7 +227,7 @@ def _run_cascade(cfg: ScenarioConfig) -> tuple[dict, dict]:
     d = amps.size
     _check_dimension([(d, 2 * cfg.env_count + 1)])
     if cfg.env_count == 0:  # no fragment row: build no state
-        return {"cascade": []}, {"max_conjugate_mi": 0.0}
+        return {"cascade": [np.arange(0)] * 3}, {"max_conjugate_mi": 0.0}
     immediate = [f"E{i + 1}" for i in range(cfg.env_count)]
     distant = [f"F{i + 1}" for i in range(cfg.env_count)]
     # perfect records: the c-shift from E_i copies its record onto F_i
@@ -249,11 +237,11 @@ def _run_cascade(cfg: ScenarioConfig) -> tuple[dict, dict]:
         [[np.exp(2j * np.pi * i * j / d) / np.sqrt(d) for j in range(d)]
          for i in range(d)]
     )
-    rows = [[i] + [basis_conditioned_mutual_information(state, "S", lab, basis)
-                   for basis in (pointer_basis, conjugate_basis)]
-            for i, lab in enumerate(distant)]
-    residuals = {"max_conjugate_mi": max((r[2] for r in rows), default=0.0)}
-    return {"cascade": rows}, residuals
+    mi = np.array([[basis_conditioned_mutual_information(state, "S", lab, basis)
+                    for lab in distant]
+                   for basis in (pointer_basis, conjugate_basis)])
+    residuals = {"max_conjugate_mi": max(mi[1], default=0.0)}
+    return {"cascade": [np.arange(cfg.env_count), *mi]}, residuals
 
 
 # scenario -> (pipeline, fields it reads besides amplitudes, out and format)
@@ -284,43 +272,57 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     cfg.validate()
     start = time.perf_counter()
     tables, residuals = _PIPELINES[cfg.kind][0](cfg)
-    tables = {name: {"columns": list(_COLUMNS[name]), "rows": rows}
-              for name, rows in tables.items()}
     return RunResult(cfg, tables, residuals, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
 # output
 
+_FLOAT = "{:.9g}".format
+_JSON = json.JSONEncoder(indent=2)     # json.dumps builds one per call
+
+
+def _cells(column) -> list[str]:
+    """A column as text: floats with 9 significant digits, integers through
+    ``str``, names as they are.  A long column formats each distinct value
+    once, keyed by its bits, as -0.0 == 0.0."""
+    if isinstance(column, list):
+        return column
+    fmt = _FLOAT if column.dtype.kind == "f" else str
+    if column.size <= 64:       # np.unique would cost more than it saves
+        return list(map(fmt, column.tolist()))
+    keys, where = np.unique(column.view(np.int64), return_inverse=True)
+    text = list(map(fmt, keys.view(column.dtype).tolist()))
+    return np.array(text, dtype=object)[where].tolist()
+
+
 def render_csv(result: RunResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for name, table in result.tables.items():
-        writer.writerow(["table", name])
-        writer.writerow(table["columns"])
-        for row in table["rows"]:
-            writer.writerow([_fmt(x) for x in row])
-    return buf.getvalue()
+    lines = []
+    for name, columns in result.tables.items():
+        lines += ["table," + name, ",".join(_COLUMNS[name])]
+        lines += map(",".join, zip(*map(_cells, columns)))
+    return "\n".join([*lines, ""])
 
 
 def render_json(result: RunResult) -> str:
     doc = {
         "scenario": {
             "kind": result.config.kind,
-            "amplitudes": [float(a) for a in result.config.amplitudes],
+            "amplitudes": list(map(float, result.config.amplitudes)),
             "env_count": result.config.env_count,
             "overlap": result.config.overlap,
             "m_cap": result.config.m_cap,
             "tolerance": result.config.tolerance,
         },
         "tables": {
-            name: {**t, "rows": [[_fmt(x) for x in r] for r in t["rows"]]}
-            for name, t in result.tables.items()
+            name: {"columns": list(_COLUMNS[name]),
+                   "rows": list(map(list, zip(*map(_cells, columns))))}
+            for name, columns in result.tables.items()
         },
-        "residuals": {k: _fmt(v) for k, v in result.residuals.items()},
+        "residuals": {k: _FLOAT(v) for k, v in result.residuals.items()},
         "duration_s": result.duration_s,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _JSON.encode(doc) + "\n"
 
 
 def emit_report(result: RunResult, fmt: str, out: str | None) -> None:
@@ -423,6 +425,8 @@ def _convert(key: str, value, from_flag: bool):
         value = value.replace(",", " ").split()
     elif not isinstance(value, list):
         raise TypeError("must be a list")
+    elif set(map(type, value)) <= set(accepted):    # no bool: not a subclass
+        return list(map(kind, value))
     return [item(x) for x in value]
 
 

@@ -174,7 +174,7 @@ def _check_counts(counts, probs: np.ndarray, tolerance: float,
                   env_dim: int) -> None:
     """Counts are at least 1, fit the spectrum within tolerance, and the
     environment has room for their total M of record states."""
-    if any(c < 1 for c in counts):
+    if min(counts, default=1) < 1:
         raise PlanMismatch("all fine-graining counts must be >= 1")
     m = sum(counts)
     if len(counts) != probs.size:
@@ -265,7 +265,7 @@ def find_commensurate_denominator(probs, tolerance: float,
                 break
         hits = ms[sums == ms]
         if hits.size:
-            return int(hits[0]), tuple(int(c) for c in fit(probs, hits[0])[0])
+            return int(hits[0]), tuple(fit(probs, hits[0])[0].tolist())
     raise UseBoundsInstead(f"no denominator <= {m_cap} approximates the "
                            f"spectrum within {tolerance}")
 
@@ -285,8 +285,9 @@ def count_spectrum(probs, tolerance: float, m_cap: int,
         raise UseBoundsInstead(
             f"at M = {m} the terms range over [{terms.min()}, {terms.max()}]"
         )
-    # sum the m_k equal counting weights 1/M of each original outcome
-    return np.array([np.full(mk, 1.0 / m).sum() for mk in counts])
+    # sum the m_k equal counting weights 1/M once per distinct m_k
+    sums = {mk: float(np.full(mk, 1.0 / m).sum()) for mk in set(counts)}
+    return np.array(list(map(sums.__getitem__, counts)))
 
 
 def present_outcomes(probs) -> np.ndarray:

@@ -9,7 +9,11 @@ branch-state builder keeps the gate chain that ``BranchState.dense``
 replaces.  The Schmidt-convention oracle keeps the per-column loops and
 the Python ``sorted`` that the library's one array-wide leading-entry
 helper and its ``lexsort`` replace.  The comparison-state builder
-realizes the endpoints of the rational bounds.
+realizes the endpoints of the rational bounds.  The counting-weight
+oracle keeps the one sum per outcome that the library makes once per
+distinct count, and the row renderers keep the per-cell formatting that
+the library's column formatter replaces: they are the byte reference for
+its CSV and JSON output, and take each table as {"columns", "rows"}.
 
 The dense-state helpers that no scenario of the ``envlab`` command
 reaches live here too, as the tests' reference: one-subsystem states,
@@ -33,6 +37,8 @@ the library computes from a ``BranchState`` only.  ``save_state`` /
 Amplitudes are ``[re, im]`` pairs in row-major order: the leftmost
 layout entry is the slowest-varying index.
 """
+import csv
+import io
 import json
 from dataclasses import dataclass
 
@@ -513,6 +519,12 @@ def scalar_commensurate_denominator(probs, tolerance, m_cap):
     raise errors.UseBoundsInstead(f"no denominator <= {m_cap}")
 
 
+def counting_weights_oracle(counts, m):
+    """p_k = the sum of outcome k's m_k equal counting weights 1/M, one sum
+    per outcome."""
+    return np.array([np.full(mk, 1.0 / m).sum() for mk in counts])
+
+
 def dense_born_probabilities(state, system, tolerance=1e-10, m_cap=10 ** 4):
     """Counting probabilities from the explicit fine-grained state: build
     the n*M^2 state with ``fine_grain``, read its M equal Schmidt
@@ -563,3 +575,44 @@ def endpoint_counts(pinned, k, probs, m):
         base[by_remainder[i % len(others)]] += 1
     counts[others] = base
     return counts
+
+
+# ---------------------------------------------------------------------------
+# per-cell renderers, over tables held as rows
+
+
+def _fmt(x) -> str:
+    if isinstance(x, (float, np.floating)):
+        return format(float(x), ".9g")
+    return str(x)
+
+
+def render_csv(result) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for name, table in result.tables.items():
+        writer.writerow(["table", name])
+        writer.writerow(table["columns"])
+        for row in table["rows"]:
+            writer.writerow([_fmt(x) for x in row])
+    return buf.getvalue()
+
+
+def render_json(result) -> str:
+    doc = {
+        "scenario": {
+            "kind": result.config.kind,
+            "amplitudes": [float(a) for a in result.config.amplitudes],
+            "env_count": result.config.env_count,
+            "overlap": result.config.overlap,
+            "m_cap": result.config.m_cap,
+            "tolerance": result.config.tolerance,
+        },
+        "tables": {
+            name: {**t, "rows": [[_fmt(x) for x in r] for r in t["rows"]]}
+            for name, t in result.tables.items()
+        },
+        "residuals": {k: _fmt(v) for k, v in result.residuals.items()},
+        "duration_s": result.duration_s,
+    }
+    return json.dumps(doc, indent=2) + "\n"

@@ -11,6 +11,7 @@ import re
 import sys
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from envlab import cli, envariance, errors, tensor_core
 from envlab.cli import main
 from envlab.info_measures import redundancy_report
 from envlab.measurement_models import branch_records, cascade_environment
+import oracles
 from oracles import (
     build_branch_state,
     dense_basis_conditioned_mutual_information,
@@ -87,7 +89,8 @@ class TestRedundancy:
     def test_rows_cumulative(self):
         cfg = cli.ScenarioConfig(kind="redundancy", amplitudes=[0.6, 0.8],
                                  env_count=3, overlap=0.3)
-        rows = cli.run_scenario(cfg).tables["redundancy"]["rows"]
+        table = cli.run_scenario(cfg).tables["redundancy"]
+        rows = list(map(list, zip(*table)))
         state = branch_records("S", cfg.unit_amplitudes(), "A",
                                ["E1", "E2", "E3"], 0.3)
         report = redundancy_report(state, "S", ["E1", "E2", "E3"])
@@ -364,7 +367,7 @@ class TestCascade:
                 (3, "real"): [0.5, -0.6, 0.62],
                 (3, "complex"): [0.4j, 0.5 + 0.2j, -0.7]}[d, kind]
         cfg = cli.ScenarioConfig("cascade", amps, env_count=n_env)
-        got = cli.run_scenario(cfg).tables["cascade"]["rows"]
+        got = np.column_stack(cli.run_scenario(cfg).tables["cascade"])
         # the dense state: E_i's records c-shifted onto ready F_i
         immediate = [f"E{i + 1}" for i in range(n_env)]
         distant = [f"F{i + 1}" for i in range(n_env)]
@@ -782,6 +785,24 @@ class TestPlumbing:
         assert code == 2
         assert list(json.loads(err)["fields"]) == [field]
 
+    @pytest.mark.parametrize("key, items, message", [
+        ("amplitudes", [1, "x", 2.5], "must be a number"),
+        ("amplitudes", [0.6, True], "must be a number"),
+        ("amplitudes", [0.6, None, 10 ** 400], "must be a number"),
+        # the first offender decides, whether out of range or of a bad type
+        ("amplitudes", [0.6, 10 ** 400, "x"],
+         "int too large to convert to float"),
+        ("bounds_m", [100, 2.5], "must be an integer"),
+        ("bounds_m", [100, False], "must be an integer"),
+    ])
+    def test_config_list_item_of_wrong_type(self, capsys, tmp_path, key,
+                                            items, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"amplitudes": [1, 1], key: items}))
+        code, _, err = run_cli(capsys, "born", "--config", str(cfg))
+        assert code == 2
+        assert json.loads(err)["fields"] == {key: f"{message}, got {items!r}"}
+
     def test_failed_write_leaves_no_temp_file(self, capsys, tmp_path):
         target = tmp_path / "taken"
         target.mkdir()         # replacing a directory by a file fails
@@ -904,6 +925,71 @@ def test_help_text_matches_golden(capsys, monkeypatch, name):
         main(list(HELP_PAGES[name]))
     assert exc.value.code == 0
     assert capsys.readouterr().out == (GOLDEN / f"help_{name}.txt").read_text()
+
+
+def as_rows(result):
+    """``result`` with each table held as the row oracles take it."""
+    return cli.RunResult(result.config, {
+        name: {"columns": list(cli._COLUMNS[name]),
+               "rows": list(zip(*(np.asarray(c).tolist() for c in columns)))}
+        for name, columns in result.tables.items()},
+        result.residuals, result.duration_s)
+
+
+def assert_renders_as_row_oracles(result):
+    """render_csv and render_json give the bytes of the per-cell oracles
+    over the same tables held as rows."""
+    assert cli.render_csv(result) == oracles.render_csv(as_rows(result))
+    assert cli.render_json(result) == oracles.render_json(as_rows(result))
+
+
+@pytest.mark.parametrize("name", sorted({**README_EXAMPLES,
+                                         **OVERLAP_EXAMPLES}))
+def test_golden_tables_render_as_row_oracles(name):
+    argv = {**README_EXAMPLES, **OVERLAP_EXAMPLES}[name]
+    args = cli.build_parser().parse_args(list(argv))
+    assert_renders_as_row_oracles(cli.run_scenario(cli.config_from_args(args)))
+
+
+def test_long_bounds_table_renders_as_row_oracles(monkeypatch):
+    # 2 * 10^4 outcomes exceed the default m_cap, so born bounds at once;
+    # at M = 2^53 nearly every endpoint is distinct, at M = n few are
+    amps = np.random.default_rng(36).random(2 * 10 ** 4).tolist()
+    cfg = cli.ScenarioConfig("born", amps, bounds_m=[
+        2 * 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 9, 2 ** 53])
+    result = cli.run_scenario(cfg)
+    assert list(result.tables) == ["bounds"]
+    assert len(result.tables["bounds"][0]) == 10 ** 5
+    want = oracles.render_csv(as_rows(result))
+    assert cli.render_csv(result) == want
+    # the JSON text is json's encoding of the document, whose rows must
+    # hold the oracle's cells; encoding 10^5 rows twice would take a second
+    docs = []
+    monkeypatch.setattr(cli, "_JSON", types.SimpleNamespace(
+        encode=lambda doc: docs.append(doc) or ""))
+    cli.render_json(result)
+    assert docs[0]["tables"]["bounds"]["rows"] == \
+        [line.split(",") for line in want.splitlines()[2:]]
+
+
+# floats that a formatter keyed by value would merge (0.0 == -0.0) or
+# never find again (nan != nan), beside the extremes of float and int64
+EDGE_FLOATS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+               1.7976931348623157e308, -0.0, 0.0, 1e-300, 0.1]
+EDGE_INTS = [0, -1, 1, 2 ** 53, -(2 ** 63), 2 ** 63 - 1, 10 ** 9, 7]
+
+
+@pytest.mark.parametrize("rows", [len(EDGE_FLOATS), 100 * len(EDGE_FLOATS)])
+def test_edge_values_render_as_row_oracles(rows):
+    # the short table formats each value, the long one each distinct value
+    floats = np.resize(EDGE_FLOATS, rows)
+    result = cli.RunResult(
+        cli.ScenarioConfig("born", [1.0]),
+        {"bounds": [np.resize(EDGE_INTS, rows), np.arange(rows), floats,
+                    floats[::-1].copy(), -floats]},
+        {"max_bound_width": -0.0, "max_abs_gap": np.float64(np.nan),
+         "tiny": 5e-324}, 0.0)
+    assert_renders_as_row_oracles(result)
 
 
 def test_each_table_has_one_header_in_csv_and_json(capsys):

@@ -35,6 +35,7 @@ from envlab.tensor_core import (
 )
 
 from oracles import (
+    counting_weights_oracle,
     dense_born_probabilities,
     endpoint_counts,
     enumerate_equal_terms,
@@ -819,6 +820,18 @@ class TestSpectrumKernels:
         np.testing.assert_array_equal(
             born_probabilities(state, ["S"], m_cap=200),
             dense_born_probabilities(state, ["S"], m_cap=200))
+
+    def test_counting_weights_match_one_sum_per_outcome(self):
+        # one sum per distinct count: a sum depends on (m_k, M) alone
+        rng = np.random.default_rng(36)
+        spectra = [np.ones(10 ** 6, dtype=int)]
+        spectra += [rng.integers(1, 100, size=rng.integers(1, 51))
+                    for _ in range(300)]                # M < 5,000
+        for counts in spectra:
+            counts //= np.gcd.reduce(counts)    # the smallest M counts them
+            m = int(counts.sum())
+            assert np.array_equal(count_spectrum(counts / m, 1e-10, m, m),
+                                  counting_weights_oracle(counts, m))
 
     def test_zero_outcome_bounded_at_zero_and_not_counted(self):
         # amplitudes 0 and 1e-13 have no Schmidt term, even at a huge M
