@@ -279,7 +279,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 # output
 
 _FLOAT = "{:.9g}".format
-_JSON = json.JSONEncoder(indent=2)     # json.dumps builds one per call
 
 
 def _cells(column) -> list[str]:
@@ -316,13 +315,13 @@ def render_json(result: RunResult) -> str:
         },
         "tables": {
             name: {"columns": list(_COLUMNS[name]),
-                   "rows": list(map(list, zip(*map(_cells, columns))))}
+                   "rows": list(zip(*map(_cells, columns)))}
             for name, columns in result.tables.items()
         },
         "residuals": {k: _FLOAT(v) for k, v in result.residuals.items()},
         "duration_s": result.duration_s,
     }
-    return _JSON.encode(doc) + "\n"
+    return json.dumps(doc) + "\n"
 
 
 def emit_report(result: RunResult, fmt: str, out: str | None) -> None:
@@ -464,8 +463,7 @@ def config_from_args(args) -> ScenarioConfig:
 
 def _fail(code: int, doc: dict) -> int:
     """Write the JSON error document to stderr; return the exit code."""
-    json.dump(doc, sys.stderr, indent=2)
-    sys.stderr.write("\n")
+    sys.stderr.write(json.dumps(doc) + "\n")
     return code
 
 

@@ -615,4 +615,4 @@ def render_json(result) -> str:
         "residuals": {k: _fmt(v) for k, v in result.residuals.items()},
         "duration_s": result.duration_s,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc) + "\n"

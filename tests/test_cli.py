@@ -11,7 +11,6 @@ import re
 import sys
 import time
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -951,7 +950,7 @@ def test_golden_tables_render_as_row_oracles(name):
     assert_renders_as_row_oracles(cli.run_scenario(cli.config_from_args(args)))
 
 
-def test_long_bounds_table_renders_as_row_oracles(monkeypatch):
+def test_long_bounds_table_renders_as_row_oracles():
     # 2 * 10^4 outcomes exceed the default m_cap, so born bounds at once;
     # at M = 2^53 nearly every endpoint is distinct, at M = n few are
     amps = np.random.default_rng(36).random(2 * 10 ** 4).tolist()
@@ -960,16 +959,7 @@ def test_long_bounds_table_renders_as_row_oracles(monkeypatch):
     result = cli.run_scenario(cfg)
     assert list(result.tables) == ["bounds"]
     assert len(result.tables["bounds"][0]) == 10 ** 5
-    want = oracles.render_csv(as_rows(result))
-    assert cli.render_csv(result) == want
-    # the JSON text is json's encoding of the document, whose rows must
-    # hold the oracle's cells; encoding 10^5 rows twice would take a second
-    docs = []
-    monkeypatch.setattr(cli, "_JSON", types.SimpleNamespace(
-        encode=lambda doc: docs.append(doc) or ""))
-    cli.render_json(result)
-    assert docs[0]["tables"]["bounds"]["rows"] == \
-        [line.split(",") for line in want.splitlines()[2:]]
+    assert_renders_as_row_oracles(result)
 
 
 # floats that a formatter keyed by value would merge (0.0 == -0.0) or
@@ -1004,6 +994,44 @@ def test_each_table_has_one_header_in_csv_and_json(capsys):
                 == list(cli._COLUMNS[name])
         emitted |= set(from_csv)
     assert emitted == set(cli._COLUMNS)
+
+
+def one_line_document(text):
+    """The JSON document in ``text``, which must be one line and its
+    newline."""
+    assert text.count("\n") == 1 and text.endswith("\n")
+    return json.loads(text)
+
+
+@pytest.mark.parametrize("name", sorted({**README_EXAMPLES,
+                                         **OVERLAP_EXAMPLES}))
+def test_json_report_is_one_line(capsys, name):
+    argv = {**README_EXAMPLES, **OVERLAP_EXAMPLES}[name]
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    doc = one_line_document(out)
+    assert list(doc) == ["scenario", "tables", "residuals", "duration_s"]
+    assert doc["scenario"]["kind"] == argv[0]
+    assert doc["tables"] == parse_tables((GOLDEN / f"{name}.csv").read_text())
+
+
+def test_error_documents_are_one_line(capsys, monkeypatch, tmp_path):
+    code, out, err = run_cli(capsys, "redundancy", "--amplitudes", "1,0")
+    assert (code, out) == (2, "")
+    assert one_line_document(err) == {"error": "validation", "fields": {
+        "amplitudes": "system entropy is zero; ratio undefined"}}
+    target = tmp_path / "no" / "such" / "dir" / "out.csv"
+    code, _, err = run_cli(
+        capsys, "born", "--amplitudes", "1,1", "--out", str(target))
+    assert code == 4
+    assert one_line_document(err)["error"] == "io"
+    monkeypatch.setenv("ENVLAB_DIM_GUARD", "8")
+    code, out, err = run_cli(capsys, "redundancy", "--amplitudes", "1,1",
+                             "--env-count", "8")
+    assert (code, out) == (3, "")
+    doc = one_line_document(err)
+    assert list(doc) == ["error", "detail"]
+    assert doc["error"] == "dimension_guard"
 
 
 def test_records_scenarios_build_no_dense_state(capsys, monkeypatch):
